@@ -12,12 +12,13 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import io
 from .diagnostics import estimate_drift, estimate_tv_decay, trace_summary
-from .errors import MJPError, ParseError, ValidationError
+from .errors import InitFailed, MJPError, ParseError, ValidationError
 from .model import Evidence, SamplerConfig
 from .oracle import exact_posterior_marginals
 from .raoteh import initial_trajectory, run_chain
@@ -91,7 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--lambda-factor", type=float, default=2.0)
     p_sample.add_argument("--seed", type=int, default=None)
     p_sample.add_argument("--probes", type=_float_list, default=[])
-    p_sample.add_argument("--init", choices=sorted(INIT_CHOICES), default="prior-rejection")
+    p_sample.add_argument("--init", choices=sorted(INIT_CHOICES), default="prior-rejection",
+                          help="start-trajectory strategy; prior-rejection falls back "
+                               "to ml-path when no prior draw meets the evidence")
     p_sample.add_argument("--out", required=True, help="trace CSV path")
     p_sample.set_defaults(func=cmd_sample)
 
@@ -168,7 +171,15 @@ def cmd_sample(args) -> int:
         init_strategy=INIT_CHOICES[args.init],
     )
     _echo_config("sample", args, seed, {"window": list(window)})
-    trace = run_chain(nu, q, ev, window, cfg, probes=args.probes)
+    try:
+        trace = run_chain(nu, q, ev, window, cfg, probes=args.probes)
+    except InitFailed as e:
+        if cfg.init_strategy != "prior-rejection":
+            raise
+        print(f"warning: {e}; starting from the max-likelihood path instead",
+              file=sys.stderr)
+        cfg = replace(cfg, init_strategy="max-likelihood-path")
+        trace = run_chain(nu, q, ev, window, cfg, probes=args.probes)
     io.write_trace_csv(args.out, trace)
     return 0
 

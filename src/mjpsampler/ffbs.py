@@ -4,12 +4,15 @@ Given candidate jump times ``T'_1 < ... < T'_N``, the skeleton
 ``S'_0, ..., S'_N`` is a discrete hidden Markov chain: prior transitions come
 from the uniformized kernel, and each observation contributes a likelihood
 factor at the grid index whose segment contains its time. The forward pass
-produces normalized filtered distributions plus the log normalizing constant
-``log p(Y | T')``; the backward pass draws an exact joint sample.
+produces the filtered distributions plus the log normalizing constant
+``log p(Y | T')``; the backward pass draws an exact joint sample from a table
+of the draw for every successor state.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,9 +60,20 @@ def attach_emissions(grid_times, ev: Evidence) -> EmissionAttachment:
     return EmissionAttachment(factors=factors)
 
 
+# Steps per block of the backward pass's predecessor table: bounds its
+# block x S x S float transient on long grids.
+BACKWARD_BLOCK = 256
+
+
 @dataclass(frozen=True)
 class FilterState:
-    """Normalized forward filter distributions and accumulated log normalizer."""
+    """Forward filter distributions and accumulated log normalizer.
+
+    ``alphas[i]`` is proportional to ``p(S'_i | Y attached at indices <= i)``.
+    Rows at index 0 and at every index where a factor attaches are normalized
+    exactly; the kernel is row-stochastic, so every other row sums to 1 to
+    within rounding.
+    """
 
     alphas: np.ndarray  # (n_steps + 1, n_states)
     log_norm: float
@@ -69,10 +83,13 @@ def forward_filter(kernel: UniformizedKernel, nu, attach: EmissionAttachment,
                    n_steps: int) -> FilterState:
     """Run the scaled forward recursion for ``n_steps`` kernel transitions.
 
-    ``alphas[i]`` is ``p(S'_i | Y attached at indices <= i)``; ``log_norm``
-    accumulates the per-step normalizers and equals ``log p(Y | T')``.
+    ``alphas[i]`` is ``p(S'_i | Y attached at indices <= i)``: normalized at
+    index 0 and wherever a factor attaches, and carried through the
+    row-stochastic kernel elsewhere, where its sum stays 1 to within rounding.
+    ``log_norm`` sums the logs of the normalizers and equals ``log p(Y | T')``.
 
-    Raises :class:`ImpossibleEvidence` when some step normalizer vanishes.
+    Raises :class:`ImpossibleEvidence` when a normalizer vanishes; mass can
+    only vanish at index 0 or where a factor attaches.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
@@ -81,42 +98,62 @@ def forward_filter(kernel: UniformizedKernel, nu, attach: EmissionAttachment,
     factors = attach.factors
 
     alphas = np.empty((n_steps + 1, kernel.n_states))
-    log_norm = 0.0
-    a = nu * factors[0] if 0 in factors else nu
-    for i in range(n_steps + 1):
-        if i > 0:
-            a = a @ p
-            f = factors.get(i)
-            if f is not None:
-                a = a * f
-        c = a.sum()
+    rows = list(alphas)  # row views, made once
+    norms = []
+    for i, row in enumerate(rows):
+        if i:
+            np.dot(rows[i - 1], p, out=row)
+        else:
+            row[:] = nu
+        f = factors.get(i)
+        if f is not None:
+            row *= f
+        elif i:
+            continue  # P is row-stochastic: the mass stays 1 to within rounding
+        c = sum(row.tolist())  # plain floats: cheaper than ndarray.sum on short rows
         if not c > 0.0:
             raise ImpossibleEvidence(f"zero normalizer at grid index {i}")
-        a = a / c
-        log_norm += np.log(c)
-        alphas[i] = a
-    return FilterState(alphas=alphas, log_norm=float(log_norm))
+        row /= c
+        norms.append(c)
+    return FilterState(alphas=alphas, log_norm=float(np.log(norms).sum()))
 
 
 def backward_sample(filt: FilterState, kernel: UniformizedKernel,
                     rng: np.random.Generator) -> np.ndarray:
-    """Draw one skeleton from the exact conditional ``p(S' | T', Y)``."""
+    """Draw one skeleton from the exact conditional ``p(S' | T', Y)``.
+
+    ``S'_i`` is the inverse-CDF draw from ``alphas[i, s] * p[s, S'_{i+1}]``
+    with uniform ``u[i]``. Since ``u[i]`` does not depend on ``S'_{i+1}``,
+    the draw is tabulated for every successor first: ``pred[i, s']`` counts
+    the cumulative weights ``<= u[i] * total[i, s']``. The cumulative sums
+    run over ``s`` in the same order as ``np.cumsum``, one array operation
+    per state over a block of ``BACKWARD_BLOCK`` steps, so the walk back
+    through the table draws the same skeleton as a step-by-step pass.
+    """
     alphas = filt.alphas
     p = kernel.p
     n = alphas.shape[0] - 1
-    n_states = kernel.n_states
+    top = kernel.n_states - 1
     u = rng.random(n + 1)
 
-    out = np.empty(n + 1, dtype=np.int64)
-    cum = np.cumsum(alphas[n])
-    s = min(int(np.searchsorted(cum, u[n] * cum[-1], side="right")), n_states - 1)
-    out[n] = s
-    for i in range(n, 0, -1):
-        w = alphas[i - 1] * p[:, s]
-        cum = np.cumsum(w)
-        s = min(int(np.searchsorted(cum, u[i - 1] * cum[-1], side="right")), n_states - 1)
-        out[i - 1] = s
-    return out
+    pred = np.empty((n, top + 1), dtype=np.int64)
+    for lo in range(0, n, BACKWARD_BLOCK):
+        hi = min(lo + BACKWARD_BLOCK, n)
+        # cums[s][i - lo, s'] = sum over r <= s of alphas[i, r] * p[r, s']
+        cums = list(itertools.accumulate(
+            a[:, None] * pr for a, pr in zip(alphas[lo:hi].T, p)))
+        cut = u[lo:hi, None] * cums[-1]
+        pred[lo:hi] = sum(cum <= cut for cum in cums)
+    np.minimum(pred, top, out=pred)  # S when total is 0 or u * total rounds up to it
+
+    cum = list(itertools.accumulate(alphas[n].tolist()))
+    s = min(bisect.bisect_right(cum, float(u[n]) * cum[-1]), top)
+    out = [s] * (n + 1)
+    table = pred.tolist()
+    for i in range(n - 1, -1, -1):
+        s = table[i][s]
+        out[i] = s
+    return np.array(out, dtype=np.int64)
 
 
 def backward_sample_many(filt: FilterState, kernel: UniformizedKernel,
@@ -166,6 +203,8 @@ def skeleton_sample_log_probability(filt: FilterState, kernel: UniformizedKernel
     with np.errstate(divide="ignore"):
         log_prob = np.log(alphas[n][skeleton[n]])
         for i in range(n, 0, -1):
+            if log_prob == -np.inf:
+                break  # impossible already; a later conditional may be 0/0
             w = alphas[i - 1] * p[:, skeleton[i]]
             log_prob += np.log(w[skeleton[i - 1]]) - np.log(w.sum())
     return float(log_prob)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 
 import numpy as np
 
@@ -211,8 +212,17 @@ def load_emission(path) -> np.ndarray:
     return e
 
 
+def _trace_meta_path(path) -> str:
+    return f"{os.fspath(path)}.meta.json"
+
+
 def write_trace_csv(path, trace: ChainTrace) -> None:
-    """Trace CSV: columns ``sweep, n_jumps, log_evidence, probe_0, ...``."""
+    """Trace CSV: columns ``sweep, n_jumps, log_evidence, probe_0, ...``.
+
+    The probe times, ``n_states`` and ``burn_in`` go to a JSON sidecar,
+    ``<path>.meta.json``, so the CSV stays one header line plus one line per
+    sweep and :func:`read_trace_csv` can restore the whole trace.
+    """
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         header = ["sweep", "n_jumps", "log_evidence"]
@@ -222,9 +232,19 @@ def write_trace_csv(path, trace: ChainTrace) -> None:
             row = [m + 1, int(trace.n_jumps[m]), repr(float(trace.log_evidence[m]))]
             row += [int(s) for s in trace.probe_states[m]]
             writer.writerow(row)
+    meta = {"probes": trace.probes.tolist(), "n_states": int(trace.n_states),
+            "burn_in": int(trace.burn_in)}
+    with open(_trace_meta_path(path), "w") as f:
+        json.dump(meta, f)
+        f.write("\n")
 
 
 def read_trace_csv(path) -> ChainTrace:
+    """Read a trace CSV, with its sidecar when there is one.
+
+    Without the sidecar the probe times are NaN, ``burn_in`` is 0 and
+    ``n_states`` is guessed as the largest state seen plus one.
+    """
     with open(path, newline="") as f:
         reader = csv.reader(f)
         try:
@@ -241,13 +261,29 @@ def read_trace_csv(path) -> ChainTrace:
             probe_states.append([int(v) for v in row[3:]])
     n_jumps_arr = np.array(n_jumps, dtype=np.int64)
     probe_arr = np.array(probe_states, dtype=np.int64).reshape(len(n_jumps), n_probes)
-    n_states = int(probe_arr.max()) + 1 if probe_arr.size else int(n_jumps_arr.max()) + 1
+    meta_path = _trace_meta_path(path)
+    if not os.path.exists(meta_path):
+        n_states = int(probe_arr.max()) + 1 if probe_arr.size else int(n_jumps_arr.max()) + 1
+        probes, burn_in = np.full(n_probes, np.nan), 0
+    else:
+        meta = _load_json(meta_path)
+        probes = np.asarray(_require(meta, "probes"), dtype=float)
+        if probes.shape != (n_probes,):
+            raise ValidationError(f"sidecar lists {probes.size} probes, the CSV has {n_probes}",
+                                  pointer="/probes")
+        n_states = _require(meta, "n_states")
+        if not isinstance(n_states, int) or n_states <= int(probe_arr.max(initial=0)):
+            raise ValidationError("'n_states' must exceed every recorded state",
+                                  pointer="/n_states")
+        burn_in = _require(meta, "burn_in")
+        if not isinstance(burn_in, int) or burn_in < 0:
+            raise ValidationError("'burn_in' must be a nonnegative integer", pointer="/burn_in")
     return ChainTrace(
-        probes=np.full(n_probes, np.nan),
+        probes=probes,
         n_jumps=n_jumps_arr,
         log_evidence=np.array(log_ev),
         probe_states=probe_arr,
-        burn_in=0,
+        burn_in=burn_in,
         n_states=n_states,
     )
 

@@ -197,19 +197,6 @@ def initial_trajectory(nu, q: RateMatrix, ev: Evidence, window: tuple[float, flo
 
 
 @dataclass
-class ChainState:
-    """Current trajectory plus cached per-sweep statistics."""
-
-    x: Trajectory
-    sweep_index: int = 0
-    n_jumps: int = 0
-    log_evidence: float = np.nan
-
-    def __post_init__(self):
-        self.n_jumps = self.x.n_jumps
-
-
-@dataclass
 class ChainTrace:
     """Per-sweep record of a Rao-Teh run.
 

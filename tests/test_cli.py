@@ -9,6 +9,7 @@ from mjpsampler import io
 from mjpsampler.cli import parse_and_dispatch
 from mjpsampler.errors import ParseError, ValidationError
 from mjpsampler.model import Evidence, Trajectory, validate_rate_matrix
+from mjpsampler.raoteh import ChainTrace
 from mjpsampler.oracle import exact_posterior_marginals
 
 Q3_ROWS = [[-1.0, 0.7, 0.3], [0.4, -0.9, 0.5], [0.6, 0.4, -1.0]]
@@ -112,6 +113,32 @@ class TestSampleCommand:
         ])
         assert rc == 1
         assert "--model" in capsys.readouterr().err
+
+
+    def test_prior_rejection_falls_back_to_ml_path(self, tmp_path, capsys):
+        # 39 alternating hard observations, 0.05 apart: a prior draw would need
+        # an odd jump count in every gap, which no prior draw delivers
+        model = tmp_path / "sym2.json"
+        model.write_text(json.dumps({"states": 2, "Q": [[-1.0, 1.0], [1.0, -1.0]]}))
+        evidence = tmp_path / "alternating.json"
+        obs = [{"t": k / 20, "lik": [1.0, 0.0] if k % 2 else [0.0, 1.0]}
+               for k in range(1, 40)]
+        evidence.write_text(json.dumps({"t_min": 0.0, "t_max": 2.0, "obs": obs}))
+        outs = {}
+        for init in ("prior-rejection", "ml-path"):
+            outs[init] = tmp_path / f"{init}.csv"
+            rc = parse_and_dispatch([
+                "sample", "--model", str(model), "--evidence", str(evidence),
+                "--sweeps", "20", "--probes", "0.5", "--seed", "5",
+                "--init", init, "--out", str(outs[init]),
+            ])
+            assert rc == 0
+            err = capsys.readouterr().err.splitlines()
+            if init == "prior-rejection":
+                assert len(err) == 1 and "max-likelihood path" in err[0]
+        assert outs["prior-rejection"].read_bytes() == outs["ml-path"].read_bytes()
+        trace = io.read_trace_csv(outs["prior-rejection"])
+        assert (trace.probe_states[:, 0] == 1).all()  # observed state at t = 0.5
 
 
 class TestOracleCommand:
@@ -276,3 +303,30 @@ class TestRoundTrip:
         x2 = io.load_trajectory(path)
         assert (x2.jump_times == x.jump_times).all()
         assert (x2.jump_states == x.jump_states).all()
+
+    def test_trace_round_trip_keeps_metadata(self, tmp_path):
+        # the only probe never leaves state 0 of 3: n_states cannot be guessed
+        trace = ChainTrace(
+            probes=np.array([1.25]),
+            n_jumps=np.array([0, 2, 1], dtype=np.int64),
+            log_evidence=np.array([-1.5, -0.25, -2.0]),
+            probe_states=np.zeros((3, 1), dtype=np.int64),
+            burn_in=1,
+            n_states=3,
+        )
+        path = tmp_path / "trace.csv"
+        io.write_trace_csv(path, trace)
+        assert len(path.read_text().splitlines()) == 1 + 3
+        back = io.read_trace_csv(path)
+        assert back.n_states == 3
+        assert back.probes.tolist() == [1.25]
+        assert back.burn_in == 1
+        assert (back.n_jumps == trace.n_jumps).all()
+        assert (back.log_evidence == trace.log_evidence).all()
+        assert (back.probe_states == trace.probe_states).all()
+
+    def test_trace_without_sidecar_still_reads(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("sweep,n_jumps,log_evidence,probe_0\n1,3,-1.0,1\n")
+        back = io.read_trace_csv(path)
+        assert back.n_states == 2 and np.isnan(back.probes).all() and back.burn_in == 0
