@@ -14,7 +14,6 @@ from .model import (
     Grid,
     RateMatrix,
     SamplerConfig,
-    StateSpace,
     Trajectory,
     UniformizedKernel,
     collapse_grid,
@@ -31,7 +30,6 @@ __all__ = [
     "Grid",
     "RateMatrix",
     "SamplerConfig",
-    "StateSpace",
     "Trajectory",
     "UniformizedKernel",
     "collapse_grid",

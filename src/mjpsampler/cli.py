@@ -122,7 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("--init", choices=sorted(INIT_CHOICES), default="ml-path",
                         help="tv mode: start-trajectory strategy")
     p_diag.add_argument("--trace", default=None, help="trace mode: input trace CSV")
-    p_diag.add_argument("--burn-in", type=int, default=0)
+    p_diag.add_argument("--burn-in", type=int, default=None,
+                        help="trace mode: sweeps to drop; defaults to the trace's own")
     p_diag.add_argument("--threads", type=int, default=1)
     p_diag.add_argument("--out", required=True)
     p_diag.set_defaults(func=cmd_diagnose)
@@ -211,8 +212,10 @@ def cmd_diagnose(args) -> int:
     if args.mode == "trace":
         if args.trace is None:
             raise ValidationError("--trace is required in trace mode")
-        _echo_config("diagnose", args, seed)
         trace = io.read_trace_csv(args.trace)
+        if args.burn_in is None:
+            args.burn_in = trace.burn_in
+        _echo_config("diagnose", args, seed)
         summary = trace_summary(trace, args.burn_in)
         io.write_summary_csv(args.out, summary)
         return 0

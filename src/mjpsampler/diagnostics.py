@@ -32,7 +32,7 @@ from .model import (
     trajectory_log_likelihood,
 )
 from .oracle import exact_posterior_marginals
-from .raoteh import ChainTrace, rao_teh_step
+from .raoteh import ChainTrace, _connect, _shortest_path_table, rao_teh_step
 
 
 def tv_distance(p, r) -> float:
@@ -48,35 +48,15 @@ def tv_distance(p, r) -> float:
 
 
 def _find_cycle(q: RateMatrix) -> list[int]:
-    """Shortest directed cycle through state 0 in the positive-rate digraph."""
-    n = q.n_states
-    succ = [np.nonzero(q.q[s] > 0)[0].tolist() for s in range(n)]
-    best: list[int] | None = None
-    for first in succ[0]:
-        # BFS from `first` back to 0; the diagonal is negative so first != 0
-        prev: dict[int, int | None] = {first: None}
-        queue = [first]
-        while queue:
-            node = queue.pop(0)
-            if node == 0:
-                break
-            for nxt in succ[node]:
-                if nxt not in prev:
-                    prev[nxt] = node
-                    queue.append(nxt)
-        if 0 not in prev:
-            continue
-        rev = []
-        node: int | None = 0
-        while node is not None:
-            rev.append(node)
-            node = prev[node]
-        path = rev[::-1]  # first, ..., 0
-        cycle = [0] + path[:-1]
-        if best is None or len(cycle) < len(best):
-            best = cycle
-    assert best is not None  # irreducibility guarantees a cycle
-    return best
+    """Shortest directed cycle through state 0 in the positive-rate digraph.
+
+    Over the successors ``f`` of 0, takes the shortest ``[0, f, ...]`` that
+    returns to 0 by a shortest path; on equal lengths the lowest ``f`` wins.
+    Irreducibility guarantees the path back.
+    """
+    predecessors = _shortest_path_table(q)
+    return min(([0, f] + _connect(predecessors, f, 0)[:-1]
+                for f in np.nonzero(q.q[0] > 0)[0].tolist()), key=len)
 
 
 def seed_trajectory(q: RateMatrix, window: tuple[float, float], n_jumps: int) -> Trajectory:
@@ -117,7 +97,7 @@ def _drift_chunk(args):
     out = np.empty(len(seeds), dtype=np.int64)
     for i, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        out[i] = rao_teh_step(x_seed, nu, q, ev, cfg, rng, kernel=kernel).n_jumps
+        out[i] = rao_teh_step(x_seed, nu, q, ev, cfg, rng, kernel=kernel)[0].n_jumps
     return out
 
 
@@ -199,7 +179,7 @@ def _tv_chunk(args):
         if 0 in m_set:
             counts[m_set[0], trajectory_eval(x, probe)] += 1
         for m in range(1, max_m + 1):
-            x = rao_teh_step(x, nu, q, ev, cfg, rng, kernel=kernel)
+            x, _ = rao_teh_step(x, nu, q, ev, cfg, rng, kernel=kernel)
             if m in m_set:
                 counts[m_set[m], trajectory_eval(x, probe)] += 1
     return counts

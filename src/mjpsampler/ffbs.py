@@ -33,21 +33,14 @@ def build_kernel(q: RateMatrix, lam: float) -> UniformizedKernel:
     return UniformizedKernel(p=p, lam=float(lam))
 
 
-@dataclass(frozen=True)
-class EmissionAttachment:
-    """Per-grid-index likelihood factors.
+def attach_emissions(grid_times, ev: Evidence) -> dict[int, np.ndarray]:
+    """Per-grid-index likelihood factors, keyed by skeleton index.
 
-    ``factors[i]`` is the pointwise product of the likelihood vectors of all
-    observations attached to skeleton index ``i``. An observation at time
-    ``t`` attaches to the largest index whose candidate time is <= ``t``
-    (index 0, i.e. the initial state, when no candidate time is).
+    Entry ``i`` is the pointwise product of the likelihood vectors of all
+    observations attached to index ``i``. An observation at time ``t``
+    attaches to the largest index whose candidate time is <= ``t`` (index 0,
+    i.e. the initial state, when no candidate time is).
     """
-
-    factors: dict[int, np.ndarray]
-
-
-def attach_emissions(grid_times, ev: Evidence) -> EmissionAttachment:
-    """Map each observation to its grid index and multiply shared factors."""
     grid_times = np.asarray(grid_times, dtype=float)
     idx = np.searchsorted(grid_times, ev.times, side="right")
     factors: dict[int, np.ndarray] = {}
@@ -57,7 +50,7 @@ def attach_emissions(grid_times, ev: Evidence) -> EmissionAttachment:
             factors[i] = factors[i] * ev.liks[j]
         else:
             factors[i] = ev.liks[j]
-    return EmissionAttachment(factors=factors)
+    return factors
 
 
 # Steps per block of the backward pass's predecessor table: bounds its
@@ -79,9 +72,12 @@ class FilterState:
     log_norm: float
 
 
-def forward_filter(kernel: UniformizedKernel, nu, attach: EmissionAttachment,
+def forward_filter(kernel: UniformizedKernel, nu, factors: dict[int, np.ndarray],
                    n_steps: int) -> FilterState:
     """Run the scaled forward recursion for ``n_steps`` kernel transitions.
+
+    ``factors`` maps grid indices to likelihood factors, as
+    :func:`attach_emissions` returns them.
 
     ``alphas[i]`` is ``p(S'_i | Y attached at indices <= i)``: normalized at
     index 0 and wherever a factor attaches, and carried through the
@@ -95,7 +91,6 @@ def forward_filter(kernel: UniformizedKernel, nu, attach: EmissionAttachment,
         raise ValueError("n_steps must be nonnegative")
     p = kernel.p
     nu = np.asarray(nu, dtype=float)
-    factors = attach.factors
 
     alphas = np.empty((n_steps + 1, kernel.n_states))
     rows = list(alphas)  # row views, made once

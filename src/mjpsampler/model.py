@@ -37,6 +37,21 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _trusted(cls, **fields):
+    """Build the frozen dataclass ``cls`` from fields the package made valid.
+
+    Skips ``__post_init__``, so use it only for values built inside the
+    package that already satisfy every check; array fields are frozen as
+    the public constructor would freeze them.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            _freeze(value)
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def as_distribution(nu, n_states: int) -> np.ndarray:
     """Coerce ``nu`` to a validated probability vector of length ``n_states``."""
     nu = np.asarray(nu, dtype=float)
@@ -48,22 +63,6 @@ def as_distribution(nu, n_states: int) -> np.ndarray:
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"distribution sums to {total}, expected 1")
     return nu / total
-
-
-@dataclass(frozen=True)
-class StateSpace:
-    """Finite state space; states are the indices ``0 .. size-1``."""
-
-    size: int
-    labels: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        if self.size < 2:
-            raise ValueError("state space needs at least 2 states")
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(self.labels))
-            if len(self.labels) != self.size:
-                raise ValueError("labels length must equal size")
 
 
 @dataclass(frozen=True)
@@ -226,6 +225,8 @@ class Grid:
                 raise ValueError("grid times must lie strictly inside (t_min, t_max)")
             if (np.diff(times) <= 0).any():
                 raise ValueError("grid times must be strictly increasing")
+        if (states < 0).any():
+            raise ValueError("states must be nonnegative indices")
 
     @property
     def true_jump_indices(self) -> np.ndarray:
@@ -234,11 +235,15 @@ class Grid:
 
 
 def collapse_grid(g: Grid) -> Trajectory:
-    """Discard virtual jumps, keeping exactly the state-change indices."""
+    """Discard virtual jumps, keeping exactly the state-change indices.
+
+    A valid grid collapses to a valid trajectory, so the result skips the
+    public constructor's checks.
+    """
     changed = g.states[1:] != g.states[:-1]
-    return Trajectory(
-        g.t_min, g.t_max, int(g.states[0]),
-        g.times[changed], g.states[1:][changed],
+    return _trusted(
+        Trajectory, t_min=g.t_min, t_max=g.t_max, s0=int(g.states[0]),
+        jump_times=g.times[changed], jump_states=g.states[1:][changed],
     )
 
 

@@ -25,6 +25,7 @@ from .model import (
     SamplerConfig,
     Trajectory,
     UniformizedKernel,
+    _trusted,
     as_distribution,
     collapse_grid,
     trajectory_log_likelihood,
@@ -77,13 +78,12 @@ def _merge_candidate_times(x: Trajectory, virtual: np.ndarray) -> np.ndarray:
 
 def rao_teh_step(x: Trajectory, nu, q: RateMatrix, ev: Evidence,
                  cfg: SamplerConfig, rng: np.random.Generator,
-                 kernel: UniformizedKernel | None = None,
-                 return_log_evidence: bool = False):
-    """One Gibbs sweep; returns the new trajectory.
+                 kernel: UniformizedKernel | None = None) -> tuple[Trajectory, float]:
+    """One Gibbs sweep; returns the new trajectory and ``log p(Y | T')``.
 
-    With ``return_log_evidence`` also returns ``log p(Y | T')`` for the
-    merged grid of this sweep. ``kernel`` may be precomputed by the caller;
-    it must match ``lambda_factor * q_max``.
+    ``log p(Y | T')`` is the evidence on the merged grid of this sweep.
+    ``kernel`` may be precomputed by the caller; it must match
+    ``lambda_factor * q_max``.
     """
     lam = cfg.lambda_factor * q.q_max
     if kernel is None:
@@ -93,13 +93,11 @@ def rao_teh_step(x: Trajectory, nu, q: RateMatrix, ev: Evidence,
 
     virtual = sample_virtual_jumps(x, q, lam, rng)
     times = _merge_candidate_times(x, virtual)
-    attach = attach_emissions(times, ev)
-    filt = forward_filter(kernel, nu, attach, times.size)
+    factors = attach_emissions(times, ev)
+    filt = forward_filter(kernel, nu, factors, times.size)
     skeleton = backward_sample(filt, kernel, rng)
-    new_x = collapse_grid(Grid(x.t_min, x.t_max, times, skeleton))
-    if return_log_evidence:
-        return new_x, filt.log_norm
-    return new_x
+    grid = _trusted(Grid, t_min=x.t_min, t_max=x.t_max, times=times, states=skeleton)
+    return collapse_grid(grid), filt.log_norm
 
 
 def _shortest_path_table(q: RateMatrix) -> np.ndarray:
@@ -220,9 +218,9 @@ class ChainTrace:
     def kept(self) -> slice:
         return slice(self.burn_in, None)
 
-    def probe_frequencies(self, include_burn_in: bool = False) -> np.ndarray:
+    def probe_frequencies(self) -> np.ndarray:
         """Empirical state distribution at each probe over the kept sweeps."""
-        rows = self.probe_states if include_burn_in else self.probe_states[self.kept()]
+        rows = self.probe_states[self.kept()]
         freqs = np.empty((self.probes.size, self.n_states))
         for k in range(self.probes.size):
             freqs[k] = np.bincount(rows[:, k], minlength=self.n_states) / rows.shape[0]
@@ -258,9 +256,7 @@ def run_chain(nu, q: RateMatrix, ev: Evidence, window: tuple[float, float],
     trajectories: list[Trajectory] | None = [] if store_trajectories else None
 
     for m in range(total):
-        x, log_ev = rao_teh_step(
-            x, nu, q, ev, cfg, rng, kernel=kernel, return_log_evidence=True
-        )
+        x, log_ev = rao_teh_step(x, nu, q, ev, cfg, rng, kernel=kernel)
         n_jumps[m] = x.n_jumps
         log_evidence[m] = log_ev
         if probes.size:

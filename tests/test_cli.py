@@ -197,6 +197,34 @@ class TestDiagnoseCommand:
         assert lines[0] == "series,mean,tau,ess,degenerate"
         assert any(row.startswith("n_jumps") for row in lines[1:])
 
+    def test_trace_burn_in_defaults_to_the_traces(self, tmp_path, model_file,
+                                                  evidence_file, capsys):
+        trace_path = str(tmp_path / "trace.csv")
+        assert parse_and_dispatch([
+            "sample", "--model", model_file, "--evidence", evidence_file,
+            "--sweeps", "100", "--burn-in", "50", "--probes", "1.5", "--seed", "5",
+            "--out", trace_path,
+        ]) == 0
+
+        def summarise(name, *flags):
+            out = str(tmp_path / name)
+            capsys.readouterr()
+            assert parse_and_dispatch(["diagnose", "--mode", "trace", "--trace", trace_path,
+                                       *flags, "--out", out]) == 0
+            config = json.loads(capsys.readouterr().out.splitlines()[0])
+            return config["burn_in"], open(out).read()
+
+        default = summarise("default.csv")
+        assert default == summarise("explicit.csv", "--burn-in", "50")
+        assert default[0] == 50
+        # an explicit 0 still counts all 150 rows, burn-in included
+        burn_in, text = summarise("zero.csv", "--burn-in", "0")
+        assert burn_in == 0
+        n_jumps = np.loadtxt(trace_path, delimiter=",", skiprows=1, usecols=1)
+        assert n_jumps.size == 150
+        row = next(r for r in text.splitlines() if r.startswith("n_jumps,"))
+        assert float(row.split(",")[1]) == pytest.approx(n_jumps.mean(), rel=1e-12)
+
 
 class TestSeedResolution:
     def test_env_seed_used(self, tmp_path, model_file, evidence_file, monkeypatch, capsys):

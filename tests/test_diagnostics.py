@@ -25,6 +25,15 @@ from mjpsampler.raoteh import ChainTrace
 SYM2 = validate_rate_matrix([[-1.0, 1.0], [1.0, -1.0]])
 Q3 = validate_rate_matrix([[-1.0, 0.7, 0.3], [0.4, -0.9, 0.5], [0.6, 0.4, -1.0]])
 RING3 = validate_rate_matrix([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [1.0, 0.0, -1.0]])
+# 0->1->2->3->0 and the shortcut 0->4->3: the second successor of 0 closes
+# the shorter cycle
+SHORTCUT5 = validate_rate_matrix([
+    [-2.0, 1.0, 0.0, 0.0, 1.0],
+    [0.0, -1.0, 1.0, 0.0, 0.0],
+    [0.0, 0.0, -1.0, 1.0, 0.0],
+    [1.0, 0.0, 0.0, -1.0, 0.0],
+    [0.0, 0.0, 0.0, 1.0, -1.0],
+])
 
 
 class TestTvDistance:
@@ -62,7 +71,7 @@ def test_tv_is_a_metric(p, q, r):
 
 
 class TestSeedTrajectory:
-    @pytest.mark.parametrize("q", [SYM2, Q3, RING3])
+    @pytest.mark.parametrize("q", [SYM2, Q3, RING3, SHORTCUT5])
     @pytest.mark.parametrize("n", [0, 1, 7, 50])
     def test_jump_count_and_validity(self, q, n):
         x = seed_trajectory(q, (0.0, 2.0), n)
@@ -79,6 +88,7 @@ class TestSeedTrajectory:
     def test_ring_uses_full_cycle(self):
         assert _find_cycle(RING3) == [0, 1, 2]
         assert _find_cycle(SYM2) == [0, 1]
+        assert _find_cycle(SHORTCUT5) == [0, 4, 3]
 
 
 class TestEstimateDrift:

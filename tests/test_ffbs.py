@@ -41,23 +41,23 @@ class TestAttachEmissions:
     def test_max_rule(self):
         ev = Evidence([2.0], [[0.9, 0.1]])
         att = attach_emissions([1.0, 3.0], ev)
-        assert set(att.factors) == {1}
+        assert set(att) == {1}
 
     def test_before_first_grid_time_goes_to_index_zero(self):
         ev = Evidence([0.5], [[0.9, 0.1]])
         att = attach_emissions([1.0, 3.0], ev)
-        assert set(att.factors) == {0}
+        assert set(att) == {0}
 
     def test_shared_index_multiplies(self):
         ev = Evidence([0.2, 0.5], [[0.9, 0.1], [0.5, 0.5]])
         att = attach_emissions([1.0, 3.0], ev)
-        assert set(att.factors) == {0}
-        assert np.allclose(att.factors[0], [0.45, 0.05])
+        assert set(att) == {0}
+        assert np.allclose(att[0], [0.45, 0.05])
 
     def test_observation_at_grid_time_attaches_right(self):
         ev = Evidence([1.0], [[0.9, 0.1]])
         att = attach_emissions([1.0, 3.0], ev)
-        assert set(att.factors) == {1}
+        assert set(att) == {1}
 
 
 class TestForwardFilter:

@@ -27,10 +27,9 @@ from mjpsampler.oracle import enumerate_skeleton_posterior
 ENUMERATION_LIMIT = 4096  # skeletons; keeps each example fast
 
 
-def reference_forward_filter(kernel, nu, attach, n_steps):
+def reference_forward_filter(kernel, nu, factors, n_steps):
     """Scaled forward recursion normalized at every step."""
     p = kernel.p
-    factors = attach.factors
     alphas = np.empty((n_steps + 1, kernel.n_states))
     log_norm = 0.0
     a = nu * factors[0] if 0 in factors else nu

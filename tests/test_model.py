@@ -14,7 +14,6 @@ from mjpsampler.model import (
     Evidence,
     Grid,
     SamplerConfig,
-    StateSpace,
     Trajectory,
     collapse_grid,
     trajectory_eval,
@@ -121,6 +120,10 @@ class TestGridCollapse:
         g = Grid(0.0, 4.0, np.array([1.0, 2.0, 3.0]), np.array([0, 1, 1, 0]))
         assert g.true_jump_indices.tolist() == [1, 3]
 
+    def test_negative_state_rejected(self):
+        with pytest.raises(ValueError):
+            Grid(0.0, 3.0, np.array([1.0, 2.0]), np.array([0, -1, 1]))
+
 
 @st.composite
 def grids(draw):
@@ -144,6 +147,15 @@ def test_collapse_preserves_path(g):
     expected = g.states[np.searchsorted(g.times, ts, side="right")]
     assert (trajectory_eval_many(x, ts) == expected).all()
     assert x.n_jumps <= g.times.size
+    # the unchecked result equals what the validating constructor builds
+    changed = g.states[1:] != g.states[:-1]
+    checked = Trajectory(g.t_min, g.t_max, int(g.states[0]),
+                         g.times[changed], g.states[1:][changed])
+    assert (x.t_min, x.t_max, x.s0) == (checked.t_min, checked.t_max, checked.s0)
+    assert x.jump_times.tolist() == checked.jump_times.tolist()
+    assert x.jump_states.tolist() == checked.jump_states.tolist()
+    assert x.jump_times.dtype == np.float64 and x.jump_states.dtype == np.int64
+    assert not x.jump_times.flags.writeable and not x.jump_states.flags.writeable
 
 
 @st.composite
@@ -221,11 +233,3 @@ class TestSamplerConfig:
             SamplerConfig(n_sweeps=1, seed=2**64)
         with pytest.raises(ValueError):
             SamplerConfig(n_sweeps=1, init_strategy="bogus")
-
-
-def test_state_space():
-    with pytest.raises(ValueError):
-        StateSpace(1)
-    with pytest.raises(ValueError):
-        StateSpace(3, labels=("a", "b"))
-    assert StateSpace(2, labels=["a", "b"]).labels == ("a", "b")

@@ -5,9 +5,11 @@ import scipy.linalg
 from mjpsampler.errors import InitFailed, LambdaTooSmall
 from mjpsampler.model import (
     Evidence,
+    Grid,
     SamplerConfig,
     Trajectory,
     trajectory_eval,
+    trajectory_log_likelihood,
     validate_rate_matrix,
 )
 from mjpsampler.raoteh import (
@@ -86,7 +88,7 @@ class TestRaoTehStep:
         rng = np.random.default_rng(3)
         x = initial_trajectory([0.5, 0.5], SYM2, ev, (0.0, 1.0), cfg, rng)
         for _ in range(200):
-            x = rao_teh_step(x, [0.5, 0.5], SYM2, ev, cfg, rng)
+            x, _ = rao_teh_step(x, [0.5, 0.5], SYM2, ev, cfg, rng)
             assert trajectory_eval(x, 0.3) == 1
             assert trajectory_eval(x, 0.7) == 0
 
@@ -98,7 +100,7 @@ class TestRaoTehStep:
         cfg = SamplerConfig(n_sweeps=1, seed=4)
         rng = np.random.default_rng(4)
         new_counts = [
-            rao_teh_step(x, [0.5, 0.5], SYM2, Evidence.empty(2), cfg, rng).n_jumps
+            rao_teh_step(x, [0.5, 0.5], SYM2, Evidence.empty(2), cfg, rng)[0].n_jumps
             for _ in range(300)
         ]
         mean = np.mean(new_counts)
@@ -191,6 +193,26 @@ class TestRunChain:
                           store_trajectories=True)
         assert trace.trajectories is not None and len(trace.trajectories) == 5
         assert all(x.n_jumps == n for x, n in zip(trace.trajectories, trace.n_jumps))
+
+    def test_sweeps_skip_checks_but_emit_valid_trajectories(self, monkeypatch):
+        ev = Evidence([0.5, 1.0, 1.5],
+                      [[0.0, 1.0, 0.2], [1.0, 0.0, 0.0], [0.3, 0.3, 0.0]])
+        nu = [1 / 3, 1 / 3, 1 / 3]
+        cfg = SamplerConfig(n_sweeps=200, seed=8, init_strategy="max-likelihood-path")
+        x0 = initial_trajectory(nu, Q3, ev, (0.0, 2.0), cfg, np.random.default_rng(8))
+        calls = {Grid: 0, Trajectory: 0}
+        for cls in calls:
+            def counted(self, _check=cls.__post_init__, _cls=cls):
+                calls[_cls] += 1
+                _check(self)
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        trace = run_chain(nu, Q3, ev, (0.0, 2.0), cfg, x0=x0, store_trajectories=True)
+        assert calls == {Grid: 0, Trajectory: 0}
+        for x in trace.trajectories:
+            Trajectory(x.t_min, x.t_max, x.s0, x.jump_times, x.jump_states)
+            assert not x.jump_times.flags.writeable
+            assert not x.jump_states.flags.writeable
+            assert trajectory_log_likelihood(x, ev) > -np.inf
 
     def test_lambda_insensitivity_smoke(self):
         ev = Evidence([0.8], [[0.9, 0.1]])
