@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -124,7 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("--trace", default=None, help="trace mode: input trace CSV")
     p_diag.add_argument("--burn-in", type=int, default=None,
                         help="trace mode: sweeps to drop; defaults to the trace's own")
-    p_diag.add_argument("--threads", type=int, default=1)
+    p_diag.add_argument("--threads", type=int, default=1,
+                        help="drift and tv modes: worker processes to start "
+                             "(1 runs in this process)")
     p_diag.add_argument("--out", required=True)
     p_diag.set_defaults(func=cmd_diagnose)
     return parser
@@ -251,9 +254,16 @@ def cmd_diagnose(args) -> int:
     probe = args.probe if args.probe is not None else 0.5 * (window[0] + window[1])
     rng = np.random.default_rng(seed)
     x0 = initial_trajectory(nu, q, ev, window, cfg, rng)
+    start = time.perf_counter()
     curve = estimate_tv_decay(nu, q, ev, cfg, x0, args.ms, args.replicates, probe,
                               rng=rng, n_jobs=args.threads)
+    wall = time.perf_counter() - start
     io.write_tv_csv(args.out, curve)
+    chain_sweeps = curve.n_replicates * int(curve.ms.max())
+    print(json.dumps({"ms": curve.ms.tolist(), "tv": curve.tv.tolist(),
+                      "tv_se": curve.tv_se.tolist(), "n_replicates": curve.n_replicates,
+                      "wall_s": wall,
+                      "chain_sweeps_per_s": chain_sweeps / wall}))
     return 0
 
 

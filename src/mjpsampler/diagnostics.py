@@ -28,11 +28,17 @@ from .model import (
     SamplerConfig,
     Trajectory,
     as_distribution,
-    trajectory_eval,
     trajectory_log_likelihood,
 )
 from .oracle import exact_posterior_marginals
-from .raoteh import ChainTrace, _connect, _shortest_path_table, rao_teh_step
+from .raoteh import (
+    ChainTrace,
+    _connect,
+    _shortest_path_table,
+    pad_paths,
+    rao_teh_step,
+    rao_teh_step_many,
+)
 
 
 def tv_distance(p, r) -> float:
@@ -167,21 +173,26 @@ class TvDecayCurve:
     n_replicates: int
 
 
-def _tv_chunk(args):
-    nu, q, ev, cfg, x0, ms, probe, seeds = args
+# Chains per lockstep batch of estimate_tv_decay: bounds its
+# (grid + 1) x CHAIN_BLOCK x n_states forward-filter transient.
+CHAIN_BLOCK = 1000
+
+
+def _tv_block(args):
+    nu, q, ev, cfg, x0, ms, probe, n_chains, seed = args
     kernel = build_kernel(q, cfg.lambda_factor * q.q_max)
-    max_m = int(max(ms))
-    m_set = {int(m): i for i, m in enumerate(ms)}
+    rng = np.random.default_rng(seed)
+    times, states = (np.repeat(a, n_chains, axis=0) for a in pad_paths([x0]))
+    chain = np.arange(n_chains)
     counts = np.zeros((len(ms), q.n_states), dtype=np.int64)
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        x = x0
-        if 0 in m_set:
-            counts[m_set[0], trajectory_eval(x, probe)] += 1
-        for m in range(1, max_m + 1):
-            x, _ = rao_teh_step(x, nu, q, ev, cfg, rng, kernel=kernel)
-            if m in m_set:
-                counts[m_set[m], trajectory_eval(x, probe)] += 1
+    done = 0
+    for k, m in enumerate(ms):
+        for _ in range(done, m):
+            times, states = rao_teh_step_many(times, states, (x0.t_min, x0.t_max),
+                                              nu, q, ev, kernel, rng)
+        done = m
+        at_probe = states[chain, (times <= probe).sum(axis=1)]
+        counts[k] = np.bincount(at_probe, minlength=q.n_states)
     return counts
 
 
@@ -191,14 +202,23 @@ def estimate_tv_decay(nu, q: RateMatrix, ev: Evidence, cfg: SamplerConfig,
                       n_jobs: int = 1) -> TvDecayCurve:
     """TV distance of the ``m``-sweep probe-state law to the exact posterior.
 
-    Runs ``n_replicates`` independent chains from the fixed ``x0``; each
-    chain is advanced to ``max(ms)`` sweeps with the probe state recorded at
-    every requested ``m``. Replicates use RNG streams derived from per-
-    replicate seeds, so results do not depend on ``n_jobs``.
+    Runs ``n_replicates`` independent chains from the fixed ``x0``, in
+    lockstep blocks of ``CHAIN_BLOCK`` chains; each block is advanced to
+    ``max(ms)`` sweeps with the probe state recorded at every requested
+    ``m``. Each block draws from its own generator, seeded from ``rng``, and
+    the blocks do not depend on ``n_jobs``, so neither do the results; with
+    ``n_jobs > 1`` worker processes run whole blocks.
     """
-    ms = np.asarray(sorted(int(m) for m in ms), dtype=np.int64)
-    if (ms < 0).any():
-        raise ValueError("sweep counts must be nonnegative")
+    ms = [int(m) for m in ms]
+    if not ms:
+        raise ValueError("ms must name at least one sweep count")
+    if len(set(ms)) != len(ms):
+        raise ValueError(f"ms must not repeat a sweep count, got {ms}")
+    if min(ms) < 0:
+        raise ValueError(f"ms must hold nonnegative sweep counts, got {ms}")
+    if n_replicates < 1:
+        raise ValueError(f"n_replicates must be at least 1, got {n_replicates}")
+    ms = np.array(sorted(ms), dtype=np.int64)
     if probe < x0.t_min or probe > x0.t_max:
         raise TimeOutOfWindow("probe outside the trajectory window")
     if rng is None:
@@ -206,16 +226,15 @@ def estimate_tv_decay(nu, q: RateMatrix, ev: Evidence, cfg: SamplerConfig,
     nu = as_distribution(nu, q.n_states)
     target = exact_posterior_marginals(nu, q, ev, [probe], (x0.t_min, x0.t_max))[0]
 
-    seeds = rng.integers(2**63, size=n_replicates)
-    n_chunks = max(1, min(n_jobs * 4, n_replicates)) if n_jobs > 1 else 1
-    chunks = np.array_split(seeds, n_chunks)
-    tasks = [(nu, q, ev, cfg, x0, ms, probe, chunk.tolist())
-             for chunk in chunks if chunk.size]
+    sizes = [min(CHAIN_BLOCK, n_replicates - lo) for lo in range(0, n_replicates, CHAIN_BLOCK)]
+    seeds = rng.integers(2**63, size=len(sizes))
+    tasks = [(nu, q, ev, cfg, x0, ms.tolist(), probe, size, int(seed))
+             for size, seed in zip(sizes, seeds)]
     if n_jobs > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(_tv_chunk, tasks))
+            results = list(pool.map(_tv_block, tasks))
     else:
-        results = [_tv_chunk(t) for t in tasks]
+        results = [_tv_block(t) for t in tasks]
     counts = np.sum(results, axis=0)
 
     tvs = np.empty(ms.size)
@@ -287,6 +306,8 @@ def _summarize_series(x: np.ndarray) -> SeriesSummary:
 def trace_summary(trace: ChainTrace, burn_in: int) -> TraceSummary:
     """Means, autocorrelation times and ESS for the kept part of a trace."""
     total = trace.n_sweeps_total
+    if burn_in < 0:
+        raise ValueError(f"burn_in must be nonnegative, got {burn_in}")
     if burn_in >= total:
         raise TraceTooShort(f"burn_in {burn_in} >= trace length {total}")
     kept = slice(burn_in, None)

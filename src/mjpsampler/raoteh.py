@@ -11,12 +11,13 @@ trajectories.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from .errors import InitFailed, LambdaTooSmall, TimeOutOfWindow
+from .errors import ImpossibleEvidence, InitFailed, LambdaTooSmall, TimeOutOfWindow
 from .ffbs import attach_emissions, backward_sample, build_kernel, forward_filter
 from .model import (
     Evidence,
@@ -98,6 +99,138 @@ def rao_teh_step(x: Trajectory, nu, q: RateMatrix, ev: Evidence,
     skeleton = backward_sample(filt, kernel, rng)
     grid = _trusted(Grid, t_min=x.t_min, t_max=x.t_max, times=times, states=skeleton)
     return collapse_grid(grid), filt.log_norm
+
+
+def pad_paths(xs: Sequence[Trajectory]) -> tuple[np.ndarray, np.ndarray]:
+    """Trajectories of one window as padded per-chain arrays ``(times, states)``.
+
+    ``times[r]`` holds chain ``r``'s jump times, then ``t_max``;
+    ``states[r]`` its initial state and the states it enters, then its last
+    state again. Padded segments are empty and keep the last state, so the
+    state of chain ``r`` at any ``t`` in the window is
+    ``states[r, (times[r] <= t).sum()]``.
+    """
+    width = max(x.n_jumps for x in xs)
+    times = np.full((len(xs), width), xs[0].t_max)
+    states = np.empty((len(xs), width + 1), dtype=np.int64)
+    for r, x in enumerate(xs):
+        n = x.n_jumps
+        times[r, :n] = x.jump_times
+        states[r, 0] = x.s0
+        states[r, 1:n + 1] = x.jump_states
+        states[r, n + 1:] = states[r, n]
+    return times, states
+
+
+def _normalizers(w: np.ndarray) -> np.ndarray:
+    """Row sums in ``forward_filter``'s order; raises when one vanishes."""
+    c = np.cumsum(w, axis=1)[:, -1]
+    if not (c > 0.0).all():
+        raise ImpossibleEvidence("zero normalizer in a lockstep forward filter")
+    return c
+
+
+def rao_teh_step_many(times: np.ndarray, states: np.ndarray, window: tuple[float, float],
+                      nu, q: RateMatrix, ev: Evidence, kernel: UniformizedKernel,
+                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One Gibbs sweep of every chain of a batch, each step once for all chains.
+
+    ``times`` and ``states`` hold R trajectories of ``window`` in the form of
+    :func:`pad_paths`, and the new trajectories come back in that form.
+    ``kernel`` must be ``build_kernel(q, lam)``; ``ev`` must lie in the
+    window. Grids of different lengths share one array of the longest
+    length; rows past a chain's own grid add no evidence. With
+    one chain the generator is used in :func:`rao_teh_step`'s order (Poisson
+    counts, placements, then ``N + 1`` backward uniforms), so the same
+    trajectory is drawn.
+    """
+    t_min, t_max = window
+    n_chains = states.shape[0]
+    chain = np.arange(n_chains)
+    p = kernel.p
+    n_states = kernel.n_states
+
+    # (V) virtual times: padded segments are empty, so they draw none
+    starts = np.concatenate((np.full((n_chains, 1), t_min), times), axis=1)
+    lengths = np.concatenate((times, np.full((n_chains, 1), t_max)), axis=1) - starts
+    counts = rng.poisson((kernel.lam - q.leave[states]) * lengths)
+    per_segment = counts.ravel()
+    virtual = (np.repeat(starts.ravel(), per_segment)
+               + rng.random(int(per_segment.sum())) * np.repeat(lengths.ravel(), per_segment))
+    v_chain = np.repeat(chain, counts.sum(axis=1))
+    inside = (virtual > t_min) & (virtual < t_max)  # drop measure-zero endpoint hits
+
+    # merge, per chain: sorted by (chain, time); an exact tie of two
+    # candidates leaves one grid time, as in _merge_candidate_times
+    real = times < t_max
+    t = np.concatenate((times[real], virtual[inside]))
+    c = np.concatenate((np.nonzero(real)[0], v_chain[inside]))
+    order = np.lexsort((t, c))
+    t, c = t[order], c[order]
+    keep = np.ones(t.size, dtype=bool)
+    keep[1:] = (t[1:] != t[:-1]) | (c[1:] != c[:-1])
+    t, c = t[keep], c[keep]
+    n = np.bincount(c, minlength=n_chains)  # grid size of each chain
+    first = np.cumsum(n) - n  # chain r's grid is t[first[r]:first[r] + n[r]]
+    width = int(n.max())
+
+    # attach: at[r * n_obs + j] counts chain r's grid times <= ev.times[j]; a
+    # grid time is <= times[j] exactly when at most j observation times lie below it
+    n_obs = ev.n_obs
+    below = np.searchsorted(ev.times, t, side="left")
+    hist = np.bincount(c * (n_obs + 1) + below, minlength=n_chains * (n_obs + 1))
+    at = np.cumsum(hist.reshape(n_chains, n_obs + 1), axis=1)[:, :n_obs].ravel()
+    who = np.repeat(chain, n_obs)
+    # one factor per attached (index, chain), multiplied in observation order
+    # as attach_emissions does; a chain's indices never decrease with j
+    head = np.ones(at.size, dtype=bool)
+    head[1:] = (at[1:] != at[:-1]) | (who[1:] != who[:-1])
+    heads = np.flatnonzero(head)
+    factors = np.multiply.reduceat(np.tile(ev.liks, (n_chains, 1)), heads, axis=0)
+    by_index = np.argsort(at[heads])
+    heads, factors = heads[by_index], factors[by_index]
+    rows = who[heads]  # factors[bounds[i]:bounds[i + 1]] attach at index i of these chains
+    bounds = np.searchsorted(at[heads], np.arange(width + 2)).tolist()
+
+    # forward filter over the longest grid, normalised where forward_filter
+    # normalises: index 0 and the attached indices
+    alphas = np.empty((width + 1, n_chains, n_states))
+    a = alphas[0]
+    a[:] = nu
+    a[rows[:bounds[1]]] *= factors[:bounds[1]]
+    a /= _normalizers(a)[:, None]
+    for i in range(1, width + 1):
+        np.dot(alphas[i - 1], p, out=alphas[i])
+        lo, hi = bounds[i], bounds[i + 1]
+        if lo < hi:
+            sel = rows[lo:hi]
+            w = alphas[i, sel] * factors[lo:hi]
+            alphas[i, sel] = w / _normalizers(w)[:, None]
+
+    # backward draw, inverse CDF with backward_sample's cumulative sums. A
+    # shorter chain draws through its padding rows first: they extend its
+    # grid by kernel steps without evidence, which leaves the law of its own
+    # skeleton unchanged.
+    u = rng.random((width + 1, n_chains))
+    succ = np.vstack((p.T, np.ones(n_states)))  # succ[s, r] = p[r, s]; ones to start
+    skeleton = np.empty((width + 1, n_chains), dtype=np.int64)
+    s = np.full(n_chains, n_states)
+    for i in range(width, -1, -1):
+        cum = np.cumsum(alphas[i] * succ[s], axis=1)
+        s = np.minimum((cum <= u[i, :, None] * cum[:, -1:]).sum(axis=1), n_states - 1)
+        skeleton[i] = s
+
+    # collapse: keep the state changes inside each chain's grid
+    jump = ((skeleton[1:] != skeleton[:-1]) & (np.arange(1, width + 1)[:, None] <= n)).T
+    k = jump.sum(axis=1)
+    r, col = np.nonzero(jump)
+    pos = np.arange(r.size) - (np.cumsum(k) - k)[r]
+    new_times = np.full((n_chains, int(k.max())), t_max)
+    new_times[r, pos] = t[first[r] + col]
+    new_states = np.repeat(skeleton[n, chain][:, None], new_times.shape[1] + 1, axis=1)
+    new_states[:, 0] = skeleton[0]
+    new_states[r, pos + 1] = skeleton[col + 1, r]
+    return new_times, new_states
 
 
 def _shortest_path_table(q: RateMatrix) -> np.ndarray:

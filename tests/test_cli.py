@@ -169,7 +169,7 @@ class TestDiagnoseCommand:
         assert lines[0] == "n,mean_j,se"
         assert len(lines) == 3
 
-    def test_tv_csv(self, tmp_path, model_file, evidence_file):
+    def test_tv_csv(self, tmp_path, model_file, evidence_file, capsys):
         out = str(tmp_path / "tv.csv")
         rc = parse_and_dispatch([
             "diagnose", "--mode", "tv", "--model", model_file,
@@ -180,6 +180,23 @@ class TestDiagnoseCommand:
         lines = open(out).read().splitlines()
         assert lines[0] == "m,tv"
         assert len(lines) == 4
+        summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert set(summary) == {"ms", "tv", "tv_se", "n_replicates", "wall_s",
+                                "chain_sweeps_per_s"}
+        assert summary["ms"] == [0, 1, 2] and summary["n_replicates"] == 50
+        assert [float(row.split(",")[1]) for row in lines[1:]] == summary["tv"]
+        assert len(summary["tv_se"]) == 3 and summary["wall_s"] > 0
+        assert summary["chain_sweeps_per_s"] == pytest.approx(50 * 2 / summary["wall_s"])
+
+    @pytest.mark.parametrize("ms", ["1,1,2", ""])
+    def test_tv_bad_ms_is_usage_error(self, tmp_path, model_file, evidence_file, ms, capsys):
+        rc = parse_and_dispatch([
+            "diagnose", "--mode", "tv", "--model", model_file,
+            "--evidence", evidence_file, "--ms", ms, "--replicates", "50",
+            "--out", str(tmp_path / "tv.csv"),
+        ])
+        assert rc == 1
+        assert "error: ms " in capsys.readouterr().err
 
     def test_trace_summary_csv(self, tmp_path, model_file, evidence_file):
         trace_path = str(tmp_path / "trace.csv")
@@ -196,6 +213,17 @@ class TestDiagnoseCommand:
         lines = open(out).read().splitlines()
         assert lines[0] == "series,mean,tau,ess,degenerate"
         assert any(row.startswith("n_jumps") for row in lines[1:])
+
+    def test_trace_negative_burn_in_fails(self, tmp_path, model_file, evidence_file, capsys):
+        trace_path = str(tmp_path / "trace.csv")
+        assert parse_and_dispatch([
+            "sample", "--model", model_file, "--evidence", evidence_file,
+            "--sweeps", "20", "--seed", "5", "--out", trace_path,
+        ]) == 0
+        rc = parse_and_dispatch(["diagnose", "--mode", "trace", "--trace", trace_path,
+                                 "--burn-in", "-5", "--out", str(tmp_path / "summary.csv")])
+        assert rc != 0
+        assert "burn_in" in capsys.readouterr().err
 
     def test_trace_burn_in_defaults_to_the_traces(self, tmp_path, model_file,
                                                   evidence_file, capsys):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy import signal
 
 from mjpsampler.diagnostics import (
+    CHAIN_BLOCK,
     _find_cycle,
     estimate_drift,
     estimate_tv_decay,
@@ -166,6 +167,25 @@ class TestEstimateTvDecay:
         b = self._curve(n_jobs=2, n_replicates=300)
         assert np.array_equal(a.tv, b.tv)
 
+    def test_parallel_matches_serial_over_blocks(self):
+        # three blocks, the last one partial
+        a = self._curve(n_jobs=1, n_replicates=2 * CHAIN_BLOCK + 1)
+        b = self._curve(n_jobs=2, n_replicates=2 * CHAIN_BLOCK + 1)
+        assert np.array_equal(a.tv, b.tv)
+
+    @pytest.mark.parametrize("ms, n_replicates, name", [
+        ([1, 1, 2], 10, "ms"),
+        ([], 10, "ms"),
+        ([-1, 2], 10, "ms"),
+        ([1, 2], 0, "n_replicates"),
+    ])
+    def test_bad_arguments_are_named(self, ms, n_replicates, name):
+        cfg = SamplerConfig(n_sweeps=1)
+        x0 = seed_trajectory(Q3, (0.0, 1.5), 0)
+        with pytest.raises(ValueError, match=f"^{name} "):
+            estimate_tv_decay([1 / 3, 1 / 3, 1 / 3], Q3, Evidence.empty(3), cfg, x0,
+                              ms=ms, n_replicates=n_replicates, probe=0.75)
+
 
 class TestIntegratedAutocorrelationTime:
     def test_iid_is_one(self):
@@ -215,6 +235,11 @@ class TestTraceSummary:
         states = np.zeros((10, 1), dtype=np.int64)
         with pytest.raises(TraceTooShort):
             trace_summary(_toy_trace(states), burn_in=10)
+
+    def test_negative_burn_in_rejected(self):
+        states = np.zeros((10, 1), dtype=np.int64)
+        with pytest.raises(ValueError, match="burn_in"):
+            trace_summary(_toy_trace(states), burn_in=-5)
 
     def test_jump_histogram(self):
         states = np.zeros((6, 1), dtype=np.int64)

@@ -1,8 +1,12 @@
+import copy
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from mjpsampler.diagnostics import seed_trajectory
 from mjpsampler.errors import InitFailed, LambdaTooSmall
+from mjpsampler.ffbs import build_kernel
 from mjpsampler.model import (
     Evidence,
     Grid,
@@ -12,10 +16,13 @@ from mjpsampler.model import (
     trajectory_log_likelihood,
     validate_rate_matrix,
 )
+from mjpsampler.oracle import exact_posterior_marginals
 from mjpsampler.raoteh import (
     _merge_candidate_times,
     initial_trajectory,
+    pad_paths,
     rao_teh_step,
+    rao_teh_step_many,
     run_chain,
     sample_virtual_jumps,
 )
@@ -24,6 +31,10 @@ from mjpsampler.simulate import gillespie_simulate
 SYM2 = validate_rate_matrix([[-1.0, 1.0], [1.0, -1.0]])
 ASYM2 = validate_rate_matrix([[-1.0, 1.0], [2.0, -2.0]])
 Q3 = validate_rate_matrix([[-1.0, 0.7, 0.3], [0.4, -0.9, 0.5], [0.6, 0.4, -1.0]])
+_DENSE = np.random.default_rng(20).uniform(0.1, 0.9, size=(20, 20))
+np.fill_diagonal(_DENSE, 0.0)
+np.fill_diagonal(_DENSE, -_DENSE.sum(axis=1))
+Q20 = validate_rate_matrix(_DENSE)
 
 
 class TestSampleVirtualJumps:
@@ -222,3 +233,161 @@ class TestRunChain:
             trace = run_chain([0.5, 0.5], SYM2, ev, (0.0, 1.5), cfg, probes=[0.75])
             freqs.append(trace.probe_frequencies()[0])
         assert np.abs(freqs[0] - freqs[1]).max() < 0.05
+
+
+def _unpad(times, states, t_max):
+    """Per-chain ``(s0, jump_times, jump_states)`` of padded arrays, checking the padding."""
+    out = []
+    for t, s in zip(times, states):
+        n = int((t < t_max).sum())
+        assert (t[n:] == t_max).all() and (s[n + 1:] == s[n]).all()
+        out.append((int(s[0]), t[:n], s[1:n + 1]))
+    return out
+
+
+class TestLockstepSweep:
+    WINDOW = (0.0, 2.0)
+
+    def _evidence(self, kind, q, x, rng, seed):
+        """Evidence for one sweep from ``x``; ``on_grid`` puts observations on
+        a true jump time and on the first virtual time the sweep will draw."""
+        n_states = q.n_states
+        lik_rng = np.random.default_rng(seed)
+        if kind == "none":
+            return Evidence.empty(n_states)
+        if kind == "on_grid":
+            lam = 2.0 * q.q_max
+            virtual = sample_virtual_jumps(x, q, lam, copy.deepcopy(rng))
+            times = sorted(x.jump_times[:1].tolist() + virtual[:1].tolist() + [0.0])
+            return Evidence(times, lik_rng.uniform(0.1, 1.0, size=(len(times), n_states)))
+        times = [0.0, 0.7, 0.7, 1.3, 2.0]
+        liks = lik_rng.uniform(0.1, 1.0, size=(len(times), n_states))
+        if kind == "hard":
+            liks[lik_rng.random(liks.shape) < 0.5] = 0.0
+            # keep the states of x, so the chain stays consistent with the evidence
+            liks[np.arange(len(times)), [trajectory_eval(x, t) for t in times]] = 1.0
+        return Evidence(times, liks)
+
+    @pytest.mark.parametrize("q", [SYM2, Q3, Q20], ids=["S2", "S3", "S20"])
+    @pytest.mark.parametrize("kind", ["none", "soft", "hard", "on_grid"])
+    def test_one_chain_matches_rao_teh_step(self, q, kind):
+        nu = np.full(q.n_states, 1.0 / q.n_states)
+        cfg = SamplerConfig(n_sweeps=1)
+        kernel = build_kernel(q, cfg.lambda_factor * q.q_max)
+        x = seed_trajectory(q, self.WINDOW, 6)
+        hits = 0
+        for sweep in range(25):
+            rng_a = np.random.default_rng([sweep, q.n_states])
+            rng_b = np.random.default_rng([sweep, q.n_states])
+            ev = self._evidence(kind, q, x, rng_a, sweep)
+            hits += ev.n_obs and bool(np.isin(ev.times, x.jump_times).any())
+            y, _ = rao_teh_step(x, nu, q, ev, cfg, rng_a, kernel=kernel)
+            times, states = rao_teh_step_many(*pad_paths([x]), self.WINDOW, nu, q, ev,
+                                              kernel, rng_b)
+            [(s0, jump_times, jump_states)] = _unpad(times, states, self.WINDOW[1])
+            assert times.shape == (1, y.n_jumps)
+            assert s0 == y.s0
+            assert jump_times.tolist() == y.jump_times.tolist()
+            assert jump_states.tolist() == y.jump_states.tolist()
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+            x = y
+        if kind == "on_grid":
+            assert hits > 0
+
+    @pytest.mark.parametrize("n", [0, 10, 40])
+    def test_one_sweep_jump_count_law(self, n):
+        # symmetric 2 states at lambda = 2, no evidence: the grid has n + V
+        # points, V ~ Poisson((lambda - 1) T), and every skeleton step is a
+        # fair coin, so the new jump count is Binomial(n + V, 1/2)
+        r, horizon = 20_000, self.WINDOW[1] - self.WINDOW[0]
+        x = seed_trajectory(SYM2, self.WINDOW, n)
+        times, states = (np.repeat(a, r, axis=0) for a in pad_paths([x]))
+        times, _ = rao_teh_step_many(times, states, self.WINDOW, [0.5, 0.5], SYM2,
+                                     Evidence.empty(2), build_kernel(SYM2, 2.0),
+                                     np.random.default_rng(n))
+        self._assert_binomial_law((times < self.WINDOW[1]).sum(axis=1), n, horizon)
+
+    @staticmethod
+    def _assert_binomial_law(jumps, n, horizon):
+        r = jumps.size
+        mean, var = (n + horizon) / 2.0, (n + 2.0 * horizon) / 4.0
+        assert abs(jumps.mean() - mean) <= 5.0 * np.sqrt(var / r)
+        fourth = ((jumps - jumps.mean()) ** 4).mean()
+        assert abs(jumps.var(ddof=1) - var) <= 5.0 * np.sqrt((fourth - var**2) / r)
+
+    def test_uneven_batch_keeps_each_chains_law(self):
+        # chains from 0 and from 40 jumps alternate in one batch; from 0 jumps
+        # many grids are empty, and P(no jump) = E[2^-V] = exp(-(lambda - 1) T / 2)
+        horizon = self.WINDOW[1] - self.WINDOW[0]
+        paths = [seed_trajectory(SYM2, self.WINDOW, n) for n in (0, 40)] * 10_000
+        times, _ = rao_teh_step_many(*pad_paths(paths), self.WINDOW, [0.5, 0.5], SYM2,
+                                     Evidence.empty(2), build_kernel(SYM2, 2.0),
+                                     np.random.default_rng(3))
+        jumps = (times < self.WINDOW[1]).sum(axis=1)
+        self._assert_binomial_law(jumps[0::2], 0, horizon)
+        self._assert_binomial_law(jumps[1::2], 40, horizon)
+        p0 = np.exp(-horizon / 2.0)
+        assert abs((jumps[0::2] == 0).mean() - p0) <= 5.0 * np.sqrt(p0 * (1 - p0) / 10_000)
+
+    def test_uneven_batch_of_empty_and_one_point_grids(self):
+        # at lambda_factor 1.0001 virtual times are rare (rate 1e-4): a chain
+        # from 0 jumps has an empty grid, one from a jump at 1.0 keeps that
+        # single grid time, which neighbouring chains share exactly
+        empty = Trajectory.from_pairs(*self.WINDOW, 0)
+        one = Trajectory.from_pairs(*self.WINDOW, 0, [(1.0, 1)])
+        times, _ = rao_teh_step_many(*pad_paths([empty, one, one] * 1000), self.WINDOW,
+                                     [0.5, 0.5], SYM2, Evidence.empty(2),
+                                     build_kernel(SYM2, 1.0001), np.random.default_rng(5))
+        jumps = (times < self.WINDOW[1]).sum(axis=1)
+        assert (jumps[0::3] == 0).mean() > 0.99
+        from_one = np.concatenate((np.arange(1, 3000, 3), np.arange(2, 3000, 3)))
+        assert ((jumps[from_one] == 1) & (times[from_one, 0] == 1.0)).mean() > 0.99
+
+    def test_one_sweep_keeps_the_posterior(self):
+        # chains start from exact posterior draws (prior draws accepted with
+        # probability L(Y | X) / max L), so their grids are uneven; one
+        # sweep must leave the probe marginals at the exact posterior
+        nu = np.array([0.5, 0.3, 0.2])
+        ev = Evidence([0.0, 0.5, 0.5, 1.4],
+                      [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.2, 1.0, 0.2], [0.1, 0.1, 0.8]])
+        rng = np.random.default_rng(6)
+        prior = [gillespie_simulate(nu, Q3, self.WINDOW, rng) for _ in range(40_000)]
+        times, states = pad_paths(prior)
+        chain = np.arange(len(prior))
+        lik = np.ones(len(prior))
+        for t, row, top in zip(ev.times, ev.liks, ev.lik_max):
+            lik *= row[states[chain, (times <= t).sum(axis=1)]] / top
+        accept = rng.random(len(prior)) < lik
+        times, states = times[accept], states[accept]
+        assert (times < self.WINDOW[1]).sum(axis=1).max() >= 6
+
+        times, states = rao_teh_step_many(times, states, self.WINDOW, nu, Q3, ev,
+                                          build_kernel(Q3, 2.0 * Q3.q_max), rng)
+        probes = [0.0, 0.5, 1.0, 1.4, 2.0]
+        exact = exact_posterior_marginals(nu, Q3, ev, probes, self.WINDOW)
+        chain = np.arange(times.shape[0])
+        for t, target in zip(probes, exact):
+            freq = np.bincount(states[chain, (times <= t).sum(axis=1)], minlength=3) / chain.size
+            se = np.sqrt(target * (1 - target) / chain.size)
+            assert (np.abs(freq - target) <= 5.0 * se).all()
+
+    def test_uneven_batch_with_hard_evidence_stays_valid(self):
+        t_max = self.WINDOW[1]
+        long = seed_trajectory(Q3, self.WINDOW, 60)
+        short = Trajectory.from_pairs(*self.WINDOW, 0)
+        obs = [0.0, 0.5, 0.5, 1.25, 2.0]
+        liks = np.zeros((len(obs), 3))
+        for x in (long, short):
+            liks[np.arange(len(obs)), [trajectory_eval(x, t) for t in obs]] = 1.0
+        ev = Evidence(obs, liks)
+        nu = [1 / 3, 1 / 3, 1 / 3]
+        times, states = pad_paths([short, long, short] * 20)
+        rng = np.random.default_rng(4)
+        kernel = build_kernel(Q3, 2.0 * Q3.q_max)
+        for _ in range(10):
+            times, states = rao_teh_step_many(times, states, self.WINDOW, nu, Q3, ev,
+                                              kernel, rng)
+            for s0, jump_times, jump_states in _unpad(times, states, t_max):
+                x = Trajectory(*self.WINDOW, s0, jump_times, jump_states)
+                assert trajectory_log_likelihood(x, ev) > -np.inf
+            assert (times < t_max).sum(axis=1).min() < (times < t_max).sum(axis=1).max()
