@@ -64,16 +64,12 @@ def sample_virtual_jumps(x: Trajectory, q: RateMatrix, lam: float,
 
 
 def _merge_candidate_times(x: Trajectory, virtual: np.ndarray) -> np.ndarray:
-    """Merge true jumps with virtual times; on exact ties keep the true jump."""
+    """Merge true jumps with virtual times into the sorted grid; exact repeats
+    are one grid time, since the grid is a set of times."""
     times = np.concatenate((x.jump_times, virtual))
-    tags = np.concatenate(
-        (np.zeros(x.n_jumps, dtype=np.int8), np.ones(virtual.size, dtype=np.int8))
-    )
-    order = np.lexsort((tags, times))
-    times = times[order]
+    times.sort()
     if times.size > 1:
-        keep = np.concatenate(([True], times[1:] != times[:-1]))
-        times = times[keep]
+        times = times[np.concatenate(([True], times[1:] != times[:-1]))]
     return times
 
 

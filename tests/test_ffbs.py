@@ -1,15 +1,16 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mjpsampler.errors import ImpossibleEvidence, LambdaTooSmall
+from mjpsampler.errors import ImpossibleEvidence, LambdaTooSmall, TooLarge
 from mjpsampler.ffbs import (
+    GRID_CAP,
     attach_emissions,
     backward_sample,
-    backward_sample_many,
     build_kernel,
     forward_filter,
     skeleton_sample_log_probability,
@@ -40,24 +41,38 @@ class TestBuildKernel:
 class TestAttachEmissions:
     def test_max_rule(self):
         ev = Evidence([2.0], [[0.9, 0.1]])
-        att = attach_emissions([1.0, 3.0], ev)
-        assert set(att) == {1}
+        indices, factors = attach_emissions([1.0, 3.0], ev)
+        assert indices.tolist() == [1]
+        assert factors.tolist() == [[0.9, 0.1]]
 
     def test_before_first_grid_time_goes_to_index_zero(self):
         ev = Evidence([0.5], [[0.9, 0.1]])
-        att = attach_emissions([1.0, 3.0], ev)
-        assert set(att) == {0}
+        indices, _ = attach_emissions([1.0, 3.0], ev)
+        assert indices.tolist() == [0]
 
     def test_shared_index_multiplies(self):
         ev = Evidence([0.2, 0.5], [[0.9, 0.1], [0.5, 0.5]])
-        att = attach_emissions([1.0, 3.0], ev)
-        assert set(att) == {0}
-        assert np.allclose(att[0], [0.45, 0.05])
+        indices, factors = attach_emissions([1.0, 3.0], ev)
+        assert indices.tolist() == [0]
+        assert np.allclose(factors, [[0.45, 0.05]])
 
     def test_observation_at_grid_time_attaches_right(self):
         ev = Evidence([1.0], [[0.9, 0.1]])
-        att = attach_emissions([1.0, 3.0], ev)
-        assert set(att) == {1}
+        indices, _ = attach_emissions([1.0, 3.0], ev)
+        assert indices.tolist() == [1]
+
+    def test_factors_multiply_in_observation_order(self):
+        # one observation at a time, as a loop over observations multiplies them
+        rng = np.random.default_rng(4)
+        grid = np.sort(rng.uniform(0.0, 10.0, 30))
+        times = np.sort(np.concatenate((rng.uniform(0.0, 10.0, 60), grid[[3, 3, 17]], [0.0])))
+        ev = Evidence(times, rng.uniform(1e-3, 2.0, (times.size, 3)))
+        expected: dict[int, np.ndarray] = {}
+        for i, lik in zip(np.searchsorted(grid, times, side="right").tolist(), ev.liks):
+            expected[i] = expected[i] * lik if i in expected else lik
+        indices, factors = attach_emissions(grid, ev)
+        assert indices.tolist() == sorted(expected)
+        assert np.array_equal(factors, np.array([expected[i] for i in sorted(expected)]))
 
 
 class TestForwardFilter:
@@ -98,6 +113,18 @@ class TestForwardFilter:
         short = forward_filter(kernel, nu, attach_emissions([0.25, 0.5], ev), 2)
         long = forward_filter(kernel, nu, attach_emissions([0.25, 0.5, 0.75, 1.0], ev), 4)
         assert long.log_norm == pytest.approx(short.log_norm, abs=1e-12)
+
+    def test_grid_past_cap_raises_before_allocating(self):
+        kernel = build_kernel(Q3, 2.0 * Q3.q_max)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge):
+                forward_filter(kernel, np.full(3, 1.0 / 3),
+                               attach_emissions([], Evidence.empty(3)), GRID_CAP + 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000  # bytes; the rows alone would take 24 * GRID_CAP
 
 
 def _enumeration_case(q, nu, grid_times, ev):
@@ -177,20 +204,6 @@ class TestBackwardSample:
         tv = 0.5 * sum(
             abs(counts.get(s, 0) / n - p) for s, p in posterior.items()
         )
-        assert tv < 0.05
-
-    def test_batched_sampler_matches_single_draw_law(self):
-        grid_times = [0.3, 0.6, 0.9]
-        ev = Evidence([0.5], [[0.3, 0.7, 0.2]])
-        kernel, filt, posterior = _enumeration_case(Q3, [0.2, 0.5, 0.3], grid_times, ev)
-        rng = np.random.default_rng(3)
-        n = 20_000
-        batch = backward_sample_many(filt, kernel, n, rng)
-        counts: dict[tuple, int] = {}
-        for row in batch:
-            key = tuple(row.tolist())
-            counts[key] = counts.get(key, 0) + 1
-        tv = 0.5 * sum(abs(counts.get(s, 0) / n - p) for s, p in posterior.items())
         assert tv < 0.05
 
 

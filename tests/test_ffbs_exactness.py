@@ -4,17 +4,24 @@ The step-by-step loops below are the straightforward FFBS recursions; the
 library's table-driven passes must reproduce them: equal skeletons bit for
 bit from equal generator states, filtered distributions to 1e-12 and the
 log evidence to 1e-10. The sampling probability is also checked against
-brute-force skeleton enumeration wherever that fits.
+brute-force skeleton enumeration wherever that fits. Grids of 2-4 states
+with at least ``BLOCKED_MIN_STEPS`` steps exercise the blocked filter.
 """
+
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from mjpsampler import ffbs
 from mjpsampler.errors import ImpossibleEvidence
 from mjpsampler.ffbs import (
     BACKWARD_BLOCK,
+    BLOCK_STEPS,
+    BLOCKED_MAX_STATES,
+    BLOCKED_MIN_STEPS,
     attach_emissions,
     backward_sample,
     build_kernel,
@@ -25,6 +32,7 @@ from mjpsampler.model import Evidence, validate_rate_matrix
 from mjpsampler.oracle import enumerate_skeleton_posterior
 
 ENUMERATION_LIMIT = 4096  # skeletons; keeps each example fast
+Q2 = validate_rate_matrix([[-1.0, 1.0], [0.5, -0.5]])
 
 
 def reference_forward_filter(kernel, nu, factors, n_steps):
@@ -83,7 +91,8 @@ def cases(draw):
     nu /= nu.sum()
 
     n_steps = draw(st.sampled_from(
-        [0, 1, 2, 3, 5, BACKWARD_BLOCK + 1, BACKWARD_BLOCK + 3]))
+        [0, 1, 2, 3, 5, BLOCKED_MIN_STEPS - 1, BLOCKED_MIN_STEPS, BLOCKED_MIN_STEPS + 1,
+         7 * BLOCK_STEPS + 5, BACKWARD_BLOCK + 1, BACKWARD_BLOCK + 3]))
     grid = np.sort(draw(st.lists(st.integers(1, 10**6), min_size=n_steps,
                                  max_size=n_steps, unique=True))).astype(float) / 10**6
 
@@ -105,7 +114,8 @@ def _filter_pair(q, nu, grid, ev, lambda_factor):
     kernel = build_kernel(q, lambda_factor * q.q_max)
     attach = attach_emissions(grid, ev)
     try:
-        ref = reference_forward_filter(kernel, nu, attach, grid.size)
+        ref = reference_forward_filter(kernel, nu, dict(zip(attach[0].tolist(), attach[1])),
+                                       grid.size)
     except ImpossibleEvidence:
         ref = None
     try:
@@ -114,6 +124,10 @@ def _filter_pair(q, nu, grid, ev, lambda_factor):
         filt = None
     assert (ref is None) == (filt is None)
     return kernel, ref, filt
+
+
+def _blocked(n_steps, kernel):
+    return n_steps >= BLOCKED_MIN_STEPS and kernel.n_states <= BLOCKED_MAX_STATES
 
 
 def _assert_filters_agree(ref, filt):
@@ -129,6 +143,7 @@ def test_table_passes_match_step_loops(case, seed):
     kernel, ref, filt = _filter_pair(*case)
     if filt is None:
         return
+    event("blocked filter" if _blocked(case[2].size, kernel) else "step loop")
     _assert_filters_agree(ref, filt)
     rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(3):
@@ -175,3 +190,82 @@ def test_twenty_states_past_one_block():
         expected = reference_backward_sample(filt.alphas, kernel, np.random.default_rng(seed))
         skeleton = backward_sample(filt, kernel, np.random.default_rng(seed))
         assert np.array_equal(skeleton, expected)
+
+
+@pytest.fixture
+def blocked_runs(monkeypatch):
+    """Results of the blocked filter's calls: a filter, or None where it handed over."""
+    runs = []
+    blocked = ffbs._forward_blocked
+
+    def spy(*args):
+        runs.append(blocked(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(ffbs, "_forward_blocked", spy)
+    return runs
+
+
+def test_blocked_filter_on_extreme_evidence(blocked_runs):
+    rng = np.random.default_rng(7)
+    q = validate_rate_matrix([[-1.0, 0.7, 0.3], [0.4, -0.9, 0.5], [0.6, 0.4, -1.0]])
+    grid = np.sort(rng.uniform(0.0, 100.0, 3 * BLOCKED_MIN_STEPS + 5))
+    # one observation per grid segment, one at t_min, and hard zeros on the
+    # two indices either side of the first block boundary
+    times = np.concatenate(([0.0], grid + 1e-9))
+    liks = rng.choice([1.0, 0.3, 1e-30, 1e-200], size=(times.size, 3))
+    liks[np.arange(times.size), rng.integers(0, 3, times.size)] = 1.0
+    liks[BLOCK_STEPS, :2] = 0.0
+    liks[BLOCK_STEPS + 1, 1:] = 0.0
+    liks[BLOCK_STEPS + 1, 0] = 1e-200
+    ev = Evidence(times, liks)
+    _, ref, filt = _filter_pair(q, np.array([0.2, 0.5, 0.3]), grid, ev, 2.0)
+    assert len(blocked_runs) == 1 and blocked_runs[0] is not None
+    _assert_filters_agree(ref, filt)
+
+
+@pytest.mark.parametrize("lambda_factor", [1.1, 3.0])
+def test_blocked_filter_agrees_past_the_threshold(blocked_runs, lambda_factor):
+    rng = np.random.default_rng(11)
+    for n_steps in (BLOCKED_MIN_STEPS, BLOCKED_MIN_STEPS + 1, 10 * BLOCK_STEPS + 1, 1000):
+        grid = np.sort(rng.uniform(0.0, n_steps / 4.0, n_steps))
+        times = np.sort(rng.uniform(0.0, n_steps / 4.0, n_steps // 3))
+        ev = Evidence(times, rng.uniform(1e-30, 1.0, (times.size, 2)))
+        _, ref, filt = _filter_pair(Q2, np.array([0.5, 0.5]), grid, ev, lambda_factor)
+        _assert_filters_agree(ref, filt)
+    assert len(blocked_runs) == 4 and all(run is not None for run in blocked_runs)
+
+
+def test_impossible_evidence_in_a_middle_block_raises(blocked_runs):
+    grid = np.linspace(0.1, 30.0, 2 * BLOCKED_MIN_STEPS + 3)
+    t = grid[BLOCKED_MIN_STEPS + 2]  # both attach to index BLOCKED_MIN_STEPS + 3
+    ev = Evidence([0.0, t, t], [[0.4, 0.6], [1.0, 0.0], [0.0, 1.0]])
+    kernel = build_kernel(Q2, 2.0 * Q2.q_max)
+    factors = attach_emissions(grid, ev)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ImpossibleEvidence) as blocked_error:
+            forward_filter(kernel, np.array([0.5, 0.5]), factors, grid.size)
+        with pytest.raises(ImpossibleEvidence) as reference_error:
+            reference_forward_filter(kernel, np.array([0.5, 0.5]),
+                                     dict(zip(factors[0].tolist(), factors[1])), grid.size)
+    assert blocked_runs == [None]  # handed to the step loop, which raised
+    assert str(blocked_error.value) == str(reference_error.value)
+    assert str(BLOCKED_MIN_STEPS + 3) in str(blocked_error.value)
+
+
+def test_underflowing_block_hands_over_to_step_loop(blocked_runs):
+    # 6-state cycle from state 0; evidence at indices 1 and 2 favours state 3,
+    # three jumps away, so paths from state 0 keep about 1e-316 of the first
+    # block's mass: possible evidence, but below the smallest normal float
+    q = np.zeros((6, 6))
+    q[np.arange(6), (np.arange(6) + 1) % 6] = 1.0
+    np.fill_diagonal(q, -1.0)
+    grid = np.linspace(0.1, 20.0, BLOCKED_MIN_STEPS + 20)
+    lik = np.full(6, 1e-158)
+    lik[3] = 1.0
+    ev = Evidence([0.0, grid[0], grid[1]], [np.eye(6)[0], lik, lik])
+    nu = np.full(6, 1.0 / 6)
+    _, ref, filt = _filter_pair(validate_rate_matrix(q), nu, grid, ev, 2.0)
+    assert blocked_runs == [None]
+    _assert_filters_agree(ref, filt)
