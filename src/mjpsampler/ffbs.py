@@ -55,29 +55,42 @@ def attach_emissions(grid_times, ev: Evidence) -> tuple[np.ndarray, np.ndarray]:
 BACKWARD_BLOCK = 256
 
 # Longest grid, in kernel steps, that forward_filter accepts. At the cap the
-# step loop holds (N + 1) x S floats of rows (40 MB at S = 20) and the blocked
-# path an N x S x S table (128 MB at S = 8).
+# segment loop holds (N + 1) x S floats of rows (40 MB at S = 20) and the
+# blocked path an N x S x S table (128 MB at S = 8).
 GRID_CAP = 250_000
 
-# Grids of at least BLOCKED_MIN_STEPS steps on at most BLOCKED_MAX_STATES
-# states take the blocked filter, in blocks of BLOCK_STEPS steps. It makes
-# about BLOCK_STEPS array passes over an (N / BLOCK_STEPS) x S x S table and
-# one dot product per block; the step loop makes one dot product per step,
-# whose cost is nearly all call overhead when S is small. Measured in us,
-# step loop / blocked, with every second index attached (2-core x86-64 Xeon,
-# numpy 2.4, one BLAS thread):
+# Two paths run the forward filter. The segment loop makes one dot product
+# with the kernel's power table per attached index and per POWER_STEPS steps
+# without evidence: about 1.9 us per attached index and 0.06 us per step at
+# S <= 8. The blocked filter, in blocks of BLOCK_STEPS steps, makes about
+# BLOCK_STEPS array passes over an (N / BLOCK_STEPS) x S x S table and one
+# dot product per block, whatever the evidence: about 60 us plus 0.2 (S = 3)
+# to 0.3 (S = 8) us per step. Measured in us, segment loop / blocked, with
+# one index in every `spacing` attached (2-core x86-64 Xeon, numpy 2.4, one
+# BLAS thread; * marks the path the rule below takes):
 #
-#   S \ N      64        80        96       128       400      1000
-#   3       64 / 70   80 / 74   94 / 75  125 / 82  386 / 135  955 / 250
-#   8       67 / 79   82 / 81   98 / 87  128 / 99  395 / 181  989 / 364
-#   12      68 / 93   85 / 99  100 / 103 132 / 123 408 / 256 1016 / 573
-#   20      72 / 136  88 / 145 106 / 159 140 / 201 430 / 514 1067 / 1260
+#   S    N   spacing 2    3           4           6           8          12
+#   3   80    84 / 73*    57* / 73    44* / 72    31* / 72    25* / 72   18* / 72
+#   3  128   130 / 82*    88* / 82    68* / 82    47* / 82    37* / 82   26* / 81
+#   3  400   399 / 136*  268 / 136*  202 / 136*  137* / 136  105* / 136  73* / 135
+#   3 1000   998 / 253*  666 / 252*  501 / 252*  338 / 250*  254* / 250 174* / 250
+#   8   80    88 / 81*    60* / 82    47* / 81    34* / 82    26* / 81   19* / 82
+#   8  128   137 / 99*    93* / 99    72* / 98    50* / 98    39* / 98   28* / 98
+#   8  400   418 / 183*  283 / 182*  215 / 182*  146* / 182  113* / 180  79* / 181
+#   8 1000  1041 / 361*  703 / 359*  531 / 360*  359 / 359*  274* / 358 188* / 359
 #
-# Up to S = 8 the blocked filter is ahead from N = 80 on; at S = 12 only from
-# about N = 128, and at S = 20 never.
+# So grids of at least BLOCKED_MIN_STEPS steps on at most BLOCKED_MAX_STATES
+# states take the blocked filter when (attached indices - BLOCKED_MIN_ATTACHED)
+# * BLOCKED_STEPS_PER_ATTACHED >= N: the blocked path's fixed cost is about 32
+# attached indices of the segment loop, and each attached index costs about
+# as much as 10 of its steps. At S = 12 the blocked filter is ahead only with
+# about every second index attached (259 / 432 at N = 400), at S = 20 never
+# (519 / 456).
 BLOCK_STEPS = 12
 BLOCKED_MIN_STEPS = 80
 BLOCKED_MAX_STATES = 8
+BLOCKED_MIN_ATTACHED = 32
+BLOCKED_STEPS_PER_ATTACHED = 10
 
 _TINY = np.finfo(float).tiny
 
@@ -87,10 +100,10 @@ class FilterState:
     """Forward filter distributions and accumulated log normalizer.
 
     ``alphas[i]`` is proportional to ``p(S'_i | Y attached at indices <= i)``.
-    On the step loop, rows at index 0 and at every index where a factor
-    attaches are normalized exactly; the kernel is row-stochastic, so every
-    other row sums to 1 to within rounding. On the blocked path every row is
-    normalized exactly. See :func:`forward_filter`.
+    On the segment loop, rows at index 0 and at every index where a factor
+    attaches are normalized exactly; the kernel's powers are row-stochastic,
+    so every other row sums to 1 to within rounding. On the blocked path
+    every row is normalized exactly. See :func:`forward_filter`.
     """
 
     alphas: np.ndarray  # (n_steps + 1, n_states)
@@ -107,54 +120,65 @@ def forward_filter(kernel: UniformizedKernel, nu, factors: tuple[np.ndarray, np.
     ``alphas[i]`` is ``p(S'_i | Y attached at indices <= i)``. ``log_norm``
     sums the logs of the normalizers and equals ``log p(Y | T')``.
 
-    Two paths compute the same recursion. Grids of at least
-    ``BLOCKED_MIN_STEPS`` steps on at most ``BLOCKED_MAX_STATES`` states take
-    the blocked path, which normalizes every row; there one ``np.dot`` per
-    step would cost more than a few array passes over all blocks. Other grids
-    take the step loop, which normalizes at index 0 and wherever a factor
-    attaches and carries rows through the row-stochastic kernel elsewhere,
-    where their sums stay 1 to within rounding. The two agree to rounding.
+    Two paths compute the same recursion. The segment loop normalizes at
+    index 0 and wherever a factor attaches; in between, row ``a + j`` is
+    ``alphas[a] @ P^j``, and one dot product with the kernel's table of
+    powers (:attr:`UniformizedKernel.powers`) fills up to ``K`` rows, whose
+    sums stay 1 to within rounding. Grids of at least ``BLOCKED_MIN_STEPS``
+    steps on at most ``BLOCKED_MAX_STATES`` states with evidence at enough
+    indices (see the constants) take the blocked path, which normalizes
+    every row. The two agree to rounding.
 
-    Raises :class:`ImpossibleEvidence` when a normalizer of the step loop
+    Raises :class:`ImpossibleEvidence` when a normalizer of the segment loop
     vanishes; mass can only vanish at index 0 or where a factor attaches.
     The blocked path hands any grid with a vanishing or subnormal normalizer
-    to the step loop, so the error is raised where the step loop raises it.
-    Raises :class:`TooLarge` when ``n_steps`` exceeds ``GRID_CAP``, before
-    anything is allocated.
+    to the segment loop, so the error is raised where the segment loop
+    raises it. Raises :class:`TooLarge` when ``n_steps`` exceeds
+    ``GRID_CAP``, before anything is allocated.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
     if n_steps > GRID_CAP:
         raise TooLarge(f"grid of {n_steps} steps exceeds GRID_CAP={GRID_CAP}")
-    p = kernel.p
     nu = np.asarray(nu, dtype=float)
     indices, liks = factors
-    if n_steps >= BLOCKED_MIN_STEPS and kernel.n_states <= BLOCKED_MAX_STATES:
-        filt = _forward_blocked(p, nu, indices, liks, n_steps)
+    if (n_steps >= BLOCKED_MIN_STEPS and kernel.n_states <= BLOCKED_MAX_STATES
+            and (indices.size - BLOCKED_MIN_ATTACHED) * BLOCKED_STEPS_PER_ATTACHED >= n_steps):
+        filt = _forward_blocked(kernel.p, nu, indices, liks, n_steps)
         if filt is not None:
             return filt
 
-    # the step loop
-    attached = dict(zip(indices.tolist(), liks))
-    alphas = np.empty((n_steps + 1, kernel.n_states))
-    rows = list(alphas)  # row views, made once
-    norms = []
-    for i, row in enumerate(rows):
-        if i:
-            np.dot(rows[i - 1], p, out=row)
-        else:
-            row[:] = nu
-        f = attached.get(i)
-        if f is not None:
-            row *= f
-        elif i:
-            continue  # P is row-stochastic: the mass stays 1 to within rounding
-        c = sum(row.tolist())  # plain floats: cheaper than ndarray.sum on short rows
-        if not c > 0.0:
-            raise ImpossibleEvidence(f"zero normalizer at grid index {i}")
-        row /= c
-        norms.append(c)
+    # the segment loop: between normalized rows, row a + j is alphas[a] @ P^j,
+    # up to K rows filled by one dot product
+    n_states = kernel.n_states
+    powers = kernel.powers
+    k_max = powers.shape[0] // n_states
+    alphas = np.empty((n_steps + 1, n_states))
+    flat = alphas.reshape(-1)
+    alphas[0] = nu
+    norms = [] if indices.size and indices[0] == 0 else [_normalize(alphas[0], 0)]
+    a = 0
+    for i, f in zip(indices.tolist() + [n_steps], [*liks, None]):
+        while a < i:
+            k = min(k_max, i - a)
+            np.dot(powers[:k * n_states], alphas[a],
+                   out=flat[(a + 1) * n_states:(a + k + 1) * n_states])
+            a += k
+        if f is None:
+            break
+        row = alphas[i]
+        row *= f
+        norms.append(_normalize(row, i))
     return FilterState(alphas=alphas, log_norm=float(np.log(norms).sum()))
+
+
+def _normalize(row: np.ndarray, i: int) -> float:
+    """Divide ``row`` (grid index ``i``) by its sum and return the sum."""
+    c = sum(row.tolist())  # plain floats: cheaper than ndarray.sum on short rows
+    if not c > 0.0:
+        raise ImpossibleEvidence(f"zero normalizer at grid index {i}")
+    row /= c
+    return c
 
 
 def _forward_blocked(p: np.ndarray, nu: np.ndarray, indices: np.ndarray, liks: np.ndarray,
@@ -168,7 +192,7 @@ def _forward_blocked(p: np.ndarray, nu: np.ndarray, indices: np.ndarray, liks: n
     carried across the blocks, one dot product each, and every row expanded
     as ``start[b] @ prod[k, b]`` in one ``matmul`` and normalized. Returns
     ``None`` when a normalizer is below the smallest normal float, so that
-    the step loop decides.
+    the segment loop decides.
     """
     n_states = p.shape[0]
     n_blocks = -(-n_steps // BLOCK_STEPS)
@@ -221,6 +245,16 @@ def _forward_blocked(p: np.ndarray, nu: np.ndarray, indices: np.ndarray, liks: n
     return FilterState(alphas=alphas, log_norm=float(np.log(norms).sum() + np.log(scales).sum()))
 
 
+def categorical(cum: list[float], u: float) -> int:
+    """Inverse-CDF draw from the running sums ``cum`` of unnormalized weights.
+
+    Returns the number of entries ``<= u * cum[-1]``, capped at the last
+    index. ``cum`` is summed left to right, as ``np.cumsum`` does; plain
+    floats make the search cheaper than ``np.searchsorted`` on short rows.
+    """
+    return min(bisect.bisect_right(cum, u * cum[-1]), len(cum) - 1)
+
+
 def backward_sample(filt: FilterState, kernel: UniformizedKernel,
                     rng: np.random.Generator) -> np.ndarray:
     """Draw one skeleton from the exact conditional ``p(S' | T', Y)``.
@@ -228,10 +262,11 @@ def backward_sample(filt: FilterState, kernel: UniformizedKernel,
     ``S'_i`` is the inverse-CDF draw from ``alphas[i, s] * p[s, S'_{i+1}]``
     with uniform ``u[i]``. Since ``u[i]`` does not depend on ``S'_{i+1}``,
     the draw is tabulated for every successor first: ``pred[i, s']`` counts
-    the cumulative weights ``<= u[i] * total[i, s']``. The cumulative sums
-    run over ``s`` in the same order as ``np.cumsum``, one array operation
-    per state over a block of ``BACKWARD_BLOCK`` steps, so the walk back
-    through the table draws the same skeleton as a step-by-step pass.
+    the cumulative weights ``<= u[i] * total[i, s']``. For each block of
+    ``BACKWARD_BLOCK`` steps, one product fills a preallocated buffer, one
+    add per state turns it into running sums over ``s`` in ``np.cumsum``'s
+    order, and one comparison counts them, so the walk back through the
+    table draws the same skeleton as a step-by-step pass.
     """
     alphas = filt.alphas
     p = kernel.p
@@ -240,17 +275,19 @@ def backward_sample(filt: FilterState, kernel: UniformizedKernel,
     u = rng.random(n + 1)
 
     pred = np.empty((n, top + 1), dtype=np.int64)
+    # cums[s, i - lo, s'] = sum over r <= s of alphas[i, r] * p[r, s']
+    buf = np.empty((top + 1, min(n, BACKWARD_BLOCK), top + 1))
     for lo in range(0, n, BACKWARD_BLOCK):
         hi = min(lo + BACKWARD_BLOCK, n)
-        # cums[s][i - lo, s'] = sum over r <= s of alphas[i, r] * p[r, s']
-        cums = list(itertools.accumulate(
-            a[:, None] * pr for a, pr in zip(alphas[lo:hi].T, p)))
+        cums = buf[:, :hi - lo]
+        np.multiply(alphas[lo:hi].T[:, :, None], p[:, None, :], out=cums)
+        for s in range(1, top + 1):
+            np.add(cums[s - 1], cums[s], out=cums[s])
         cut = u[lo:hi, None] * cums[-1]
-        pred[lo:hi] = sum(cum <= cut for cum in cums)
+        pred[lo:hi] = (cums <= cut).sum(axis=0)
     np.minimum(pred, top, out=pred)  # S when total is 0 or u * total rounds up to it
 
-    cum = list(itertools.accumulate(alphas[n].tolist()))
-    s = min(bisect.bisect_right(cum, float(u[n]) * cum[-1]), top)
+    s = categorical(list(itertools.accumulate(alphas[n].tolist())), float(u[n]))
     out = [s] * (n + 1)
     table = pred.tolist()
     for i in range(n - 1, -1, -1):

@@ -13,6 +13,7 @@ to a :class:`Trajectory` via :func:`collapse_grid`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Literal, Sequence
 
 import numpy as np
@@ -28,6 +29,12 @@ from .errors import (
 
 # Relative row-sum tolerance for rate matrices and row-stochastic matrices.
 ROW_SUM_TOL = 1e-12
+
+# Kernel powers P^1 ... P^K that a kernel tabulates for the forward filter:
+# K = POWER_STEPS, or fewer (at least 1) where the K*S x S table would pass
+# POWER_TABLE_BYTES: K is 16 up to S = 90 (51 kB at S = 20) and 1 past S = 256.
+POWER_STEPS = 16
+POWER_TABLE_BYTES = 1 << 20
 
 InitStrategy = Literal["prior-rejection", "max-likelihood-path"]
 
@@ -382,3 +389,20 @@ class UniformizedKernel:
     @property
     def n_states(self) -> int:
         return int(self.p.shape[0])
+
+    @cached_property
+    def powers(self) -> np.ndarray:
+        """Read-only ``K*S x S`` table of the transposed powers, built on first use.
+
+        Rows ``(j-1)*S`` to ``j*S`` hold ``(P^j)^T`` with ``P^j = P^(j-1) @ P``,
+        so ``powers[:k*S] @ alpha`` is ``alpha @ P^1, ..., alpha @ P^k`` end to
+        end, from one contiguous slice. ``K`` is ``POWER_STEPS``, or fewer
+        where the table would pass ``POWER_TABLE_BYTES``.
+        """
+        s = self.n_states
+        k = max(1, min(POWER_STEPS, POWER_TABLE_BYTES // (8 * s * s)))
+        stack = np.empty((k, s, s))
+        stack[0] = self.p
+        for j in range(1, k):
+            np.dot(stack[j - 1], self.p, out=stack[j])
+        return _freeze(stack.transpose(0, 2, 1).reshape(k * s, s))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LambdaTooSmall
-from .ffbs import build_kernel
+from .ffbs import build_kernel, categorical
 from .model import (
     ROW_SUM_TOL,
     Evidence,
@@ -53,23 +53,18 @@ class EmissionModel:
         return int(self.e.shape[1])
 
 
-def _categorical(cum: np.ndarray, u: float) -> int:
-    """Inverse-CDF draw from an (unnormalized) cumulative weight vector."""
-    return min(int(np.searchsorted(cum, u * cum[-1], side="right")), cum.size - 1)
-
-
 def gillespie_simulate(nu, q: RateMatrix, window: tuple[float, float],
                        rng: np.random.Generator) -> Trajectory:
     """Event-driven simulation: exponential holding times, embedded jump chain."""
     t_min, t_max = float(window[0]), float(window[1])
     nu = as_distribution(nu, q.n_states)
-    nu_cum = np.cumsum(nu)
+    nu_cum = np.cumsum(nu).tolist()
 
     off = q.q.copy()
     np.fill_diagonal(off, 0.0)
-    jump_cum = np.cumsum(off, axis=1)
+    jump_cum = np.cumsum(off, axis=1).tolist()
 
-    s = _categorical(nu_cum, rng.random())
+    s = categorical(nu_cum, rng.random())
     s0 = s
     times: list[float] = []
     states: list[int] = []
@@ -84,7 +79,7 @@ def gillespie_simulate(nu, q: RateMatrix, window: tuple[float, float],
         t = t + dt
         if t >= t_max:
             break
-        s = _categorical(jump_cum[s], rng.random())
+        s = categorical(jump_cum[s], rng.random())
         times.append(t)
         states.append(s)
     return Trajectory(t_min, t_max, s0, np.array(times), np.array(states, dtype=np.int64))
@@ -93,15 +88,14 @@ def gillespie_simulate(nu, q: RateMatrix, window: tuple[float, float],
 def sample_skeleton(nu, kernel: UniformizedKernel, n_steps: int,
                     rng: np.random.Generator) -> np.ndarray:
     """Sample ``S_0, ..., S_n`` from the prior skeleton chain ``(nu, P)``."""
-    nu = np.asarray(nu, dtype=float)
-    nu_cum = np.cumsum(nu)
-    p_cum = np.cumsum(kernel.p, axis=1)
-    u = rng.random(n_steps + 1)
+    nu_cum = np.cumsum(np.asarray(nu, dtype=float)).tolist()
+    p_cum = np.cumsum(kernel.p, axis=1).tolist()
+    u = rng.random(n_steps + 1).tolist()
     out = np.empty(n_steps + 1, dtype=np.int64)
-    s = _categorical(nu_cum, u[0])
+    s = categorical(nu_cum, u[0])
     out[0] = s
     for i in range(1, n_steps + 1):
-        s = _categorical(p_cum[s], u[i])
+        s = categorical(p_cum[s], u[i])
         out[i] = s
     return out
 
@@ -136,9 +130,9 @@ def generate_observations(x: Trajectory, times, em: EmissionModel,
     if times.size and (np.diff(times) < 0).any():
         raise ValueError("observation times must be nondecreasing")
     hidden = trajectory_eval_many(x, times)
-    e_cum = np.cumsum(em.e, axis=1)
+    e_cum = np.cumsum(em.e, axis=1).tolist()
     liks = np.empty((times.size, em.n_states))
     for j, s in enumerate(hidden):
-        y = _categorical(e_cum[s], rng.random())
+        y = categorical(e_cum[s], rng.random())
         liks[j] = em.e[:, y]
     return Evidence(times, liks)

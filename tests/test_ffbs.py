@@ -12,10 +12,12 @@ from mjpsampler.ffbs import (
     attach_emissions,
     backward_sample,
     build_kernel,
+    categorical,
     forward_filter,
     skeleton_sample_log_probability,
 )
-from mjpsampler.model import Evidence, validate_rate_matrix
+from mjpsampler import model
+from mjpsampler.model import POWER_STEPS, Evidence, validate_rate_matrix
 from mjpsampler.oracle import enumerate_skeleton_posterior
 
 SYM2 = validate_rate_matrix([[-1.0, 1.0], [1.0, -1.0]])
@@ -36,6 +38,72 @@ class TestBuildKernel:
     def test_large_lambda_is_near_identity(self):
         kernel = build_kernel(SYM2, 1000.0 * SYM2.q_max)
         assert (np.diag(kernel.p) >= 0.999).all()
+
+
+def _random_rates(n_states, seed):
+    rng = np.random.default_rng(seed)
+    q = rng.uniform(0.1, 0.9, (n_states, n_states))
+    np.fill_diagonal(q, 0.0)
+    np.fill_diagonal(q, -q.sum(axis=1))
+    return validate_rate_matrix(q)
+
+
+class TestKernelPowers:
+    def test_table_holds_transposed_powers(self):
+        kernel = build_kernel(Q3, 2.0 * Q3.q_max)
+        blocks = kernel.powers.reshape(POWER_STEPS, 3, 3)
+        for j, block in enumerate(blocks, start=1):
+            assert np.abs(block.T - np.linalg.matrix_power(kernel.p, j)).max() <= 1e-15
+
+    def test_read_only_and_built_once_on_first_use(self):
+        kernel = build_kernel(Q3, 2.0 * Q3.q_max)
+        assert "powers" not in vars(kernel)  # nothing built with the kernel
+        ev = Evidence([0.3, 1.1], [[0.8, 0.1, 0.1], [0.2, 0.5, 0.3]])
+        first = forward_filter(kernel, np.full(3, 1.0 / 3), attach_emissions([0.2, 1.0], ev), 2)
+        table = kernel.powers
+        again = forward_filter(kernel, np.full(3, 1.0 / 3), attach_emissions([0.2, 1.0], ev), 2)
+        assert kernel.powers is table
+        assert np.array_equal(first.alphas, again.alphas)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.5
+
+    def test_byte_budget_caps_the_table(self):
+        # K = 1 once one more power would pass the budget: the table is P^T itself
+        n_states = int(np.sqrt(model.POWER_TABLE_BYTES / 16)) + 1  # 8 bytes a float
+        q = _random_rates(n_states, 1)
+        kernel = build_kernel(q, 2.0 * q.q_max)
+        assert kernel.powers.shape == (n_states, n_states)
+        assert np.array_equal(kernel.powers, kernel.p.T)
+        q = _random_rates(n_states - 1, 1)
+        assert build_kernel(q, 2.0 * q.q_max).powers.shape == (2 * (n_states - 1), n_states - 1)
+
+    def test_filter_with_one_power_matches_full_table(self, monkeypatch):
+        q = _random_rates(4, 2)
+        grid = np.arange(1.0, 41.0)
+        ev = Evidence([0.0, 7.5, 30.5, 40.0], np.random.default_rng(2).uniform(0.1, 1.0, (4, 4)))
+        full = forward_filter(build_kernel(q, 2.0 * q.q_max), np.full(4, 0.25),
+                              attach_emissions(grid, ev), 40)
+        monkeypatch.setattr(model, "POWER_TABLE_BYTES", 8 * 4 * 4)
+        kernel = build_kernel(q, 2.0 * q.q_max)
+        one = forward_filter(kernel, np.full(4, 0.25), attach_emissions(grid, ev), 40)
+        assert kernel.powers.shape == (4, 4)
+        assert np.abs(one.alphas - full.alphas).max() <= 1e-13
+        assert one.log_norm == pytest.approx(full.log_norm, abs=1e-12)
+
+
+class TestCategorical:
+    def test_counts_running_sums_at_or_below_the_cut(self):
+        assert categorical([0.25, 0.5, 1.0], 0.25) == 1  # a tie counts
+        assert categorical([0.25, 0.5, 1.0], 0.2) == 0
+        assert categorical([0.25, 0.5, 1.0], 0.9) == 2
+
+    def test_zero_weights_are_never_drawn(self):
+        assert categorical([0.0, 0.0, 2.0, 2.0, 4.0], 0.0) == 2
+        assert categorical([0.0, 0.0, 2.0, 2.0, 4.0], 0.5) == 4
+
+    def test_cut_that_rounds_up_to_the_total_draws_the_last_index(self):
+        assert categorical([0.5, 1.0], 1.0) == 1
 
 
 class TestAttachEmissions:

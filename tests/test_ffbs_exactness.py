@@ -5,7 +5,9 @@ library's table-driven passes must reproduce them: equal skeletons bit for
 bit from equal generator states, filtered distributions to 1e-12 and the
 log evidence to 1e-10. The sampling probability is also checked against
 brute-force skeleton enumeration wherever that fits. Grids of 2-4 states
-with at least ``BLOCKED_MIN_STEPS`` steps exercise the blocked filter.
+with at least ``BLOCKED_MIN_STEPS`` steps and evidence at most grid times
+exercise the blocked filter; every other grid, and gaps around the length
+of the kernel-power table, exercise the segment loop.
 """
 
 import warnings
@@ -21,14 +23,16 @@ from mjpsampler.ffbs import (
     BACKWARD_BLOCK,
     BLOCK_STEPS,
     BLOCKED_MAX_STATES,
+    BLOCKED_MIN_ATTACHED,
     BLOCKED_MIN_STEPS,
+    BLOCKED_STEPS_PER_ATTACHED,
     attach_emissions,
     backward_sample,
     build_kernel,
     forward_filter,
     skeleton_sample_log_probability,
 )
-from mjpsampler.model import Evidence, validate_rate_matrix
+from mjpsampler.model import POWER_STEPS, Evidence, validate_rate_matrix
 from mjpsampler.oracle import enumerate_skeleton_posterior
 
 ENUMERATION_LIMIT = 4096  # skeletons; keeps each example fast
@@ -91,7 +95,8 @@ def cases(draw):
     nu /= nu.sum()
 
     n_steps = draw(st.sampled_from(
-        [0, 1, 2, 3, 5, BLOCKED_MIN_STEPS - 1, BLOCKED_MIN_STEPS, BLOCKED_MIN_STEPS + 1,
+        [0, 1, 2, 3, 5, POWER_STEPS - 1, POWER_STEPS, POWER_STEPS + 1, 2 * POWER_STEPS + 1,
+         BLOCKED_MIN_STEPS - 1, BLOCKED_MIN_STEPS, BLOCKED_MIN_STEPS + 1,
          7 * BLOCK_STEPS + 5, BACKWARD_BLOCK + 1, BACKWARD_BLOCK + 3]))
     grid = np.sort(draw(st.lists(st.integers(1, 10**6), min_size=n_steps,
                                  max_size=n_steps, unique=True))).astype(float) / 10**6
@@ -105,7 +110,14 @@ def cases(draw):
         row = [draw(lik_entry) for _ in range(n_states)]
         row[draw(st.integers(0, n_states - 1))] = 1.0
         liks.append(row)
-    ev = Evidence(times, np.array(liks).reshape(len(times), n_states))
+    liks = np.array(liks).reshape(len(times), n_states)
+    if draw(st.booleans()):  # dense evidence as well: one soft observation per grid time
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        times = np.concatenate((times, grid))
+        liks = np.concatenate((liks, rng.choice([1e-3, 0.1, 0.6, 1.0], (grid.size, n_states))))
+        order = np.argsort(times, kind="stable")
+        times, liks = times[order], liks[order]
+    ev = Evidence(times, liks)
     lambda_factor = draw(st.sampled_from([1.1, 2.0, 5.0]))
     return validate_rate_matrix(q), nu, grid, ev, lambda_factor
 
@@ -126,8 +138,9 @@ def _filter_pair(q, nu, grid, ev, lambda_factor):
     return kernel, ref, filt
 
 
-def _blocked(n_steps, kernel):
-    return n_steps >= BLOCKED_MIN_STEPS and kernel.n_states <= BLOCKED_MAX_STATES
+def _blocked(n_steps, kernel, n_attached):
+    return (n_steps >= BLOCKED_MIN_STEPS and kernel.n_states <= BLOCKED_MAX_STATES
+            and (n_attached - BLOCKED_MIN_ATTACHED) * BLOCKED_STEPS_PER_ATTACHED >= n_steps)
 
 
 def _assert_filters_agree(ref, filt):
@@ -143,7 +156,8 @@ def test_table_passes_match_step_loops(case, seed):
     kernel, ref, filt = _filter_pair(*case)
     if filt is None:
         return
-    event("blocked filter" if _blocked(case[2].size, kernel) else "step loop")
+    n_attached = attach_emissions(case[2], case[3])[0].size
+    event("blocked filter" if _blocked(case[2].size, kernel, n_attached) else "segment loop")
     _assert_filters_agree(ref, filt)
     rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(3):
@@ -229,17 +243,37 @@ def test_blocked_filter_agrees_past_the_threshold(blocked_runs, lambda_factor):
     rng = np.random.default_rng(11)
     for n_steps in (BLOCKED_MIN_STEPS, BLOCKED_MIN_STEPS + 1, 10 * BLOCK_STEPS + 1, 1000):
         grid = np.sort(rng.uniform(0.0, n_steps / 4.0, n_steps))
-        times = np.sort(rng.uniform(0.0, n_steps / 4.0, n_steps // 3))
+        times = np.sort(rng.uniform(0.0, n_steps / 4.0, 2 * n_steps))
         ev = Evidence(times, rng.uniform(1e-30, 1.0, (times.size, 2)))
         _, ref, filt = _filter_pair(Q2, np.array([0.5, 0.5]), grid, ev, lambda_factor)
         _assert_filters_agree(ref, filt)
     assert len(blocked_runs) == 4 and all(run is not None for run in blocked_runs)
 
 
+def test_path_follows_attachment_density(blocked_runs):
+    q = validate_rate_matrix([[-1.0, 0.7, 0.3], [0.4, -0.9, 0.5], [0.6, 0.4, -1.0]])
+    n_steps = 400
+    grid = np.arange(1.0, n_steps + 1.0)  # an observation at time t attaches to index floor(t)
+    rng = np.random.default_rng(3)
+    least = BLOCKED_MIN_ATTACHED + n_steps // BLOCKED_STEPS_PER_ATTACHED  # fewest taking it
+    for n_attached, blocked in ((n_steps // 2, True), (least, True), (least - 1, False),
+                                (n_steps // 12, False)):
+        blocked_runs.clear()
+        times = np.sort(rng.choice(n_steps + 1, n_attached, replace=False)) + 0.5
+        ev = Evidence(times, rng.uniform(0.05, 1.0, (n_attached, 3)))
+        _, ref, filt = _filter_pair(q, np.full(3, 1.0 / 3), grid, ev, 2.0)
+        assert len(blocked_runs) == blocked
+        _assert_filters_agree(ref, filt)
+
+
 def test_impossible_evidence_in_a_middle_block_raises(blocked_runs):
     grid = np.linspace(0.1, 30.0, 2 * BLOCKED_MIN_STEPS + 3)
     t = grid[BLOCKED_MIN_STEPS + 2]  # both attach to index BLOCKED_MIN_STEPS + 3
-    ev = Evidence([0.0, t, t], [[0.4, 0.6], [1.0, 0.0], [0.0, 1.0]])
+    # and soft evidence at every grid time, so that the blocked filter runs
+    times = np.concatenate(([0.0, t, t], grid))
+    liks = np.concatenate(([[0.4, 0.6], [1.0, 0.0], [0.0, 1.0]], np.full((grid.size, 2), 0.5)))
+    order = np.argsort(times, kind="stable")
+    ev = Evidence(times[order], liks[order])
     kernel = build_kernel(Q2, 2.0 * Q2.q_max)
     factors = attach_emissions(grid, ev)
     with warnings.catch_warnings():
@@ -249,23 +283,83 @@ def test_impossible_evidence_in_a_middle_block_raises(blocked_runs):
         with pytest.raises(ImpossibleEvidence) as reference_error:
             reference_forward_filter(kernel, np.array([0.5, 0.5]),
                                      dict(zip(factors[0].tolist(), factors[1])), grid.size)
-    assert blocked_runs == [None]  # handed to the step loop, which raised
+    assert blocked_runs == [None]  # handed to the segment loop, which raised
     assert str(blocked_error.value) == str(reference_error.value)
     assert str(BLOCKED_MIN_STEPS + 3) in str(blocked_error.value)
 
 
-def test_underflowing_block_hands_over_to_step_loop(blocked_runs):
+def test_underflowing_block_hands_over_to_segment_loop(blocked_runs):
     # 6-state cycle from state 0; evidence at indices 1 and 2 favours state 3,
     # three jumps away, so paths from state 0 keep about 1e-316 of the first
-    # block's mass: possible evidence, but below the smallest normal float
+    # block's mass: possible evidence, but below the smallest normal float.
+    # Flat evidence at every later grid time makes the blocked filter run.
     q = np.zeros((6, 6))
     q[np.arange(6), (np.arange(6) + 1) % 6] = 1.0
     np.fill_diagonal(q, -1.0)
     grid = np.linspace(0.1, 20.0, BLOCKED_MIN_STEPS + 20)
     lik = np.full(6, 1e-158)
     lik[3] = 1.0
-    ev = Evidence([0.0, grid[0], grid[1]], [np.eye(6)[0], lik, lik])
+    ev = Evidence(np.concatenate(([0.0], grid)),
+                  np.vstack((np.eye(6)[0], lik, lik, np.ones((grid.size - 2, 6)))))
     nu = np.full(6, 1.0 / 6)
     _, ref, filt = _filter_pair(validate_rate_matrix(q), nu, grid, ev, 2.0)
     assert blocked_runs == [None]
     _assert_filters_agree(ref, filt)
+
+
+@pytest.fixture(params=[3, 20])
+def power_kernel(request):
+    """A random dense kernel on 3 or 20 states and its number of tabulated powers."""
+    rng = np.random.default_rng(request.param)
+    q = rng.uniform(0.1, 0.9, (request.param, request.param))
+    np.fill_diagonal(q, 0.0)
+    np.fill_diagonal(q, -q.sum(axis=1))
+    q = validate_rate_matrix(q)
+    kernel = build_kernel(q, 2.0 * q.q_max)
+    return q, kernel.powers.shape[0] // kernel.n_states
+
+
+K = POWER_STEPS
+
+
+@pytest.mark.parametrize("attached,n_steps", [
+    ([], 3 * K + 2),  # no evidence at all
+    # gaps K - 1, K, K + 1, 2K + 1 after an attachment at index 0
+    ([0, K - 1, 2 * K - 1, 3 * K, 5 * K + 1], 5 * K + 4),
+    # gaps 2K + 1, K - 1, K + 1, K, up to an attachment at index N
+    ([1, 2 * K + 2, 3 * K + 1, 4 * K + 2, 5 * K + 2], 5 * K + 2),
+])
+def test_segment_loop_across_gaps(blocked_runs, power_kernel, attached, n_steps):
+    q, k_max = power_kernel
+    assert k_max == K
+    rng = np.random.default_rng(n_steps)
+    grid = np.arange(1.0, n_steps + 1.0)  # an observation at time t attaches to index floor(t)
+    ev = Evidence(np.array(attached, dtype=float),
+                  rng.uniform(0.0, 1.0, (len(attached), q.n_states)) ** 4)
+    nu = rng.dirichlet(np.ones(q.n_states))
+    kernel, ref, filt = _filter_pair(q, nu, grid, ev, 2.0)
+    assert blocked_runs == []
+    assert attach_emissions(grid, ev)[0].tolist() == attached
+    _assert_filters_agree(ref, filt)
+    for seed in range(3):
+        expected = reference_backward_sample(filt.alphas, kernel, np.random.default_rng(seed))
+        assert np.array_equal(backward_sample(filt, kernel, np.random.default_rng(seed)), expected)
+
+
+def test_impossible_evidence_after_a_long_gap_raises(blocked_runs):
+    n_steps = 3 * POWER_STEPS + 5
+    grid = np.arange(1.0, n_steps + 1.0)
+    late = 2 * POWER_STEPS + 3  # after one gap of two full segments and more
+    ev = Evidence([0.0, late + 0.5, late + 0.5], [[0.4, 0.6], [1.0, 0.0], [0.0, 1.0]])
+    kernel = build_kernel(Q2, 2.0 * Q2.q_max)
+    factors = attach_emissions(grid, ev)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ImpossibleEvidence) as segment_error:
+            forward_filter(kernel, np.array([0.5, 0.5]), factors, n_steps)
+        with pytest.raises(ImpossibleEvidence) as reference_error:
+            reference_forward_filter(kernel, np.array([0.5, 0.5]),
+                                     dict(zip(factors[0].tolist(), factors[1])), n_steps)
+    assert blocked_runs == []
+    assert str(segment_error.value) == str(reference_error.value)
+    assert str(late) in str(segment_error.value)

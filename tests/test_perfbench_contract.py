@@ -3,9 +3,10 @@
 ``perfbench/run.py`` times the sweep by wrapping program functions by name
 and checks the program's outputs against its own reference code. A rename
 or a changed return value shows up there as an ``is missing`` or ``check
-failed`` line, or as a failed round, so run one short traced round of two
-sampler workloads, a short grid and a long one that takes the blocked
-forward filter, and of the estimator workload.
+failed`` line, or as a failed round, so run one short traced round of three
+sampler workloads and of the estimator workload: a short grid, a long one
+that takes the blocked forward filter, and a 20-state one that takes the
+segment loop through the kernel-power table.
 """
 
 import json
@@ -18,7 +19,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["short_window", "long_window", "replicates"])
+@pytest.mark.parametrize("workload", ["short_window", "long_window", "dense_states", "replicates"])
 def test_traced_run_is_correct_and_complete(workload):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
