@@ -5,8 +5,9 @@ Given candidate jump times ``T'_1 < ... < T'_N``, the skeleton
 from the uniformized kernel, and each observation contributes a likelihood
 factor at the grid index whose segment contains its time. The forward pass
 produces the filtered distributions plus the log normalizing constant
-``log p(Y | T')``; the backward pass draws an exact joint sample from a table
-of the draw for every successor state.
+``log p(Y | T')``; the backward pass draws an exact joint sample from one
+table of the draw for every successor state (grid axis innermost, in blocks
+of ``BACKWARD_BYTES``), which the lockstep engine of ``raoteh`` shares.
 """
 
 from __future__ import annotations
@@ -50,9 +51,10 @@ def attach_emissions(grid_times, ev: Evidence) -> tuple[np.ndarray, np.ndarray]:
     return idx[heads], np.multiply.reduceat(ev.liks, heads, axis=0)
 
 
-# Steps per block of the backward pass's predecessor table: bounds its
-# block x S x S float transient on long grids.
-BACKWARD_BLOCK = 256
+# Bytes per block of the backward pass's predecessor table, at 9 S^2 a row (one
+# step of one chain: float running sums and comparison bytes); at least one
+# row, about 1160 at S = 20 and 7 at S = 256.
+BACKWARD_BYTES = 1 << 22
 
 # Longest grid, in kernel steps, that forward_filter accepts. At the cap the
 # segment loop holds (N + 1) x S floats of rows (40 MB at S = 20) and the
@@ -255,44 +257,47 @@ def categorical(cum: list[float], u: float) -> int:
     return min(bisect.bisect_right(cum, u * cum[-1]), len(cum) - 1)
 
 
+def _predecessors(alphas: np.ndarray, p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws of the M rows of ``alphas`` (steps, or steps times
+    chains) with uniforms ``u``, for every successor state; ``(S, M)``.
+
+    ``pred[t, m]`` counts the running sums ``sum_{s' <= s} alphas[m, s'] p[s', t]``
+    over ``s < S - 1`` that are ``<= u[m]`` times the total. They are added in
+    ``np.cumsum``'s order and never decrease, so this is the per-row draw
+    capped at ``S - 1``, bit for bit. Blocks of rows hold ``BACKWARD_BYTES``.
+    """
+    rows, n_states = alphas.shape
+    dtype = np.uint8 if n_states <= 256 else np.uint16  # counts up to S - 1
+    block = max(1, BACKWARD_BYTES // (9 * n_states * n_states))
+    parts = []
+    for lo in range(0, max(rows, 1), block):  # an empty table is one empty block
+        cums = np.einsum("st,sm->stm", p, alphas[lo:lo + block].T.copy())
+        for s in range(1, n_states):
+            np.add(cums[s - 1], cums[s], out=cums[s])
+        passed = cums[:-1] <= u[lo:lo + block] * cums[-1]
+        del cums  # before the next block is filled
+        parts.append(passed.view(np.uint8).sum(axis=0, dtype=dtype))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+
+
 def backward_sample(filt: FilterState, kernel: UniformizedKernel,
                     rng: np.random.Generator) -> np.ndarray:
     """Draw one skeleton from the exact conditional ``p(S' | T', Y)``.
 
     ``S'_i`` is the inverse-CDF draw from ``alphas[i, s] * p[s, S'_{i+1}]``
     with uniform ``u[i]``. Since ``u[i]`` does not depend on ``S'_{i+1}``,
-    the draw is tabulated for every successor first: ``pred[i, s']`` counts
-    the cumulative weights ``<= u[i] * total[i, s']``. For each block of
-    ``BACKWARD_BLOCK`` steps, one product fills a preallocated buffer, one
-    add per state turns it into running sums over ``s`` in ``np.cumsum``'s
-    order, and one comparison counts them, so the walk back through the
-    table draws the same skeleton as a step-by-step pass.
+    the draw is tabulated for every successor first (:func:`_predecessors`,
+    grid axis innermost), and the walk back reads one count per step, so it
+    draws the same skeleton as a step-by-step pass.
     """
     alphas = filt.alphas
-    p = kernel.p
     n = alphas.shape[0] - 1
-    top = kernel.n_states - 1
     u = rng.random(n + 1)
-
-    pred = np.empty((n, top + 1), dtype=np.int64)
-    # cums[s, i - lo, s'] = sum over r <= s of alphas[i, r] * p[r, s']
-    buf = np.empty((top + 1, min(n, BACKWARD_BLOCK), top + 1))
-    for lo in range(0, n, BACKWARD_BLOCK):
-        hi = min(lo + BACKWARD_BLOCK, n)
-        cums = buf[:, :hi - lo]
-        np.multiply(alphas[lo:hi].T[:, :, None], p[:, None, :], out=cums)
-        for s in range(1, top + 1):
-            np.add(cums[s - 1], cums[s], out=cums[s])
-        cut = u[lo:hi, None] * cums[-1]
-        pred[lo:hi] = (cums <= cut).sum(axis=0)
-    np.minimum(pred, top, out=pred)  # S when total is 0 or u * total rounds up to it
-
+    table = memoryview(_predecessors(alphas[:n], kernel.p, u[:n]).reshape(-1))
     s = categorical(list(itertools.accumulate(alphas[n].tolist())), float(u[n]))
     out = [s] * (n + 1)
-    table = pred.tolist()
     for i in range(n - 1, -1, -1):
-        s = table[i][s]
-        out[i] = s
+        out[i] = s = table[s * n + i]
     return np.array(out, dtype=np.int64)
 
 

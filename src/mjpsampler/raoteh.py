@@ -17,8 +17,9 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from .errors import ImpossibleEvidence, InitFailed, LambdaTooSmall, TimeOutOfWindow
-from .ffbs import attach_emissions, backward_sample, build_kernel, forward_filter
+from .errors import ImpossibleEvidence, InitFailed, LambdaTooSmall, TimeOutOfWindow, TooLarge
+from .ffbs import (GRID_CAP, _predecessors, attach_emissions, backward_sample, build_kernel,
+                   forward_filter)
 from .model import (
     Evidence,
     Grid,
@@ -135,10 +136,12 @@ def rao_teh_step_many(times: np.ndarray, states: np.ndarray, window: tuple[float
     :func:`pad_paths`, and the new trajectories come back in that form.
     ``kernel`` must be ``build_kernel(q, lam)``; ``ev`` must lie in the
     window. Grids of different lengths share one array of the longest
-    length; rows past a chain's own grid add no evidence. With
+    length; rows past a chain's own grid add no evidence. The backward draw
+    reads :func:`backward_sample`'s predecessor table, one gather per step. With
     one chain the generator is used in :func:`rao_teh_step`'s order (Poisson
     counts, placements, then ``N + 1`` backward uniforms), so the same
-    trajectory is drawn.
+    trajectory is drawn. Raises :class:`TooLarge` past ``GRID_CAP`` steps,
+    before the filter is allocated.
     """
     t_min, t_max = window
     n_chains = states.shape[0]
@@ -169,6 +172,8 @@ def rao_teh_step_many(times: np.ndarray, states: np.ndarray, window: tuple[float
     n = np.bincount(c, minlength=n_chains)  # grid size of each chain
     first = np.cumsum(n) - n  # chain r's grid is t[first[r]:first[r] + n[r]]
     width = int(n.max())
+    if width > GRID_CAP:
+        raise TooLarge(f"grid of {width} steps exceeds GRID_CAP={GRID_CAP}")
 
     # attach: at[r * n_obs + j] counts chain r's grid times <= ev.times[j]; a
     # grid time is <= times[j] exactly when at most j observation times lie below it
@@ -203,18 +208,18 @@ def rao_teh_step_many(times: np.ndarray, states: np.ndarray, window: tuple[float
             w = alphas[i, sel] * factors[lo:hi]
             alphas[i, sel] = w / _normalizers(w)[:, None]
 
-    # backward draw, inverse CDF with backward_sample's cumulative sums. A
-    # shorter chain draws through its padding rows first: they extend its
-    # grid by kernel steps without evidence, which leaves the law of its own
-    # skeleton unchanged.
+    # backward draw: inverse CDF from alphas[width] (first S - 1 sums, as in
+    # the predecessor table), then the table. A shorter chain draws through its
+    # padding rows first: they extend its grid by kernel steps without
+    # evidence, which leaves the law of its own skeleton unchanged.
     u = rng.random((width + 1, n_chains))
-    succ = np.vstack((p.T, np.ones(n_states)))  # succ[s, r] = p[r, s]; ones to start
+    cum = np.cumsum(alphas[width], axis=1)
     skeleton = np.empty((width + 1, n_chains), dtype=np.int64)
-    s = np.full(n_chains, n_states)
-    for i in range(width, -1, -1):
-        cum = np.cumsum(alphas[i] * succ[s], axis=1)
-        s = np.minimum((cum <= u[i, :, None] * cum[:, -1:]).sum(axis=1), n_states - 1)
-        skeleton[i] = s
+    skeleton[width] = s = (cum[:, :-1] <= u[width, :, None] * cum[:, -1:]).sum(axis=1)
+    pred = _predecessors(alphas[:width].reshape(-1, n_states), p, u[:width].ravel())
+    pred = pred.reshape(n_states, width, n_chains)
+    for i in range(width - 1, -1, -1):
+        skeleton[i] = s = pred[s, i, chain]
 
     # collapse: keep the state changes inside each chain's grid
     jump = ((skeleton[1:] != skeleton[:-1]) & (np.arange(1, width + 1)[:, None] <= n)).T

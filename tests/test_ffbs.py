@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from mjpsampler.errors import ImpossibleEvidence, LambdaTooSmall, TooLarge
 from mjpsampler.ffbs import (
+    BACKWARD_BYTES,
     GRID_CAP,
+    FilterState,
     attach_emissions,
     backward_sample,
     build_kernel,
@@ -258,6 +260,26 @@ class TestBackwardSample:
             for _ in range(1000)
         )
         assert constant / 1000 >= 0.98
+
+    def test_table_memory_is_bounded_by_bytes(self):
+        # at S = 256 one step of the predecessor table takes 9 * 256^2 bytes;
+        # a table of all 100 steps would take 59 MB
+        n_states, n_steps = 256, 100
+        rng = np.random.default_rng(256)
+        q = rng.uniform(0.1, 0.9, (n_states, n_states))
+        np.fill_diagonal(q, 0.0)
+        np.fill_diagonal(q, -q.sum(axis=1))
+        q = validate_rate_matrix(q)
+        kernel = build_kernel(q, 2.0 * q.q_max)
+        filt = FilterState(alphas=rng.random((n_steps + 1, n_states)), log_norm=0.0)
+        tracemalloc.start()
+        try:
+            backward_sample(filt, kernel, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one block and its temporaries, a few S^2 floats
+        assert peak < BACKWARD_BYTES + 16 * n_states**2
 
     def test_empirical_law_close_to_enumeration(self):
         grid_times = [0.25, 0.5, 0.75, 1.0, 1.25]

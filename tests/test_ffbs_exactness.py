@@ -20,12 +20,13 @@ from hypothesis import strategies as st
 from mjpsampler import ffbs
 from mjpsampler.errors import ImpossibleEvidence
 from mjpsampler.ffbs import (
-    BACKWARD_BLOCK,
+    BACKWARD_BYTES,
     BLOCK_STEPS,
     BLOCKED_MAX_STATES,
     BLOCKED_MIN_ATTACHED,
     BLOCKED_MIN_STEPS,
     BLOCKED_STEPS_PER_ATTACHED,
+    _predecessors,
     attach_emissions,
     backward_sample,
     build_kernel,
@@ -78,6 +79,17 @@ def reference_backward_sample(alphas, kernel, rng):
     return out
 
 
+def reference_predecessors(rows, p, u):
+    """The step loop's draw of every row for every successor: one ``np.cumsum`` each."""
+    n_states = p.shape[0]
+    pred = np.empty((n_states, rows.shape[0]), dtype=np.int64)
+    for m, (a, cut) in enumerate(zip(rows, u)):
+        for t in range(n_states):
+            cum = np.cumsum(a * p[:, t])
+            pred[t, m] = min(int(np.searchsorted(cum, cut * cum[-1], side="right")), n_states - 1)
+    return pred
+
+
 @st.composite
 def cases(draw):
     """Irreducible Q on 2-4 states, a grid, and evidence with hard zeros."""
@@ -97,7 +109,7 @@ def cases(draw):
     n_steps = draw(st.sampled_from(
         [0, 1, 2, 3, 5, POWER_STEPS - 1, POWER_STEPS, POWER_STEPS + 1, 2 * POWER_STEPS + 1,
          BLOCKED_MIN_STEPS - 1, BLOCKED_MIN_STEPS, BLOCKED_MIN_STEPS + 1,
-         7 * BLOCK_STEPS + 5, BACKWARD_BLOCK + 1, BACKWARD_BLOCK + 3]))
+         7 * BLOCK_STEPS + 5, 257, 259]))
     grid = np.sort(draw(st.lists(st.integers(1, 10**6), min_size=n_steps,
                                  max_size=n_steps, unique=True))).astype(float) / 10**6
 
@@ -191,7 +203,7 @@ def test_twenty_states_past_one_block():
     np.fill_diagonal(q, 0.0)
     np.fill_diagonal(q, -q.sum(axis=1))
     q = validate_rate_matrix(q)
-    grid = np.sort(rng.uniform(0.0, 10.0, BACKWARD_BLOCK + 2))
+    grid = np.sort(rng.uniform(0.0, 10.0, BACKWARD_BYTES // (9 * 20 * 20) + 2))
     obs_times = np.concatenate(([0.0], grid[::40], [5.0]))
     obs_times.sort()
     liks = rng.uniform(0.05, 1.0, (obs_times.size, 20))
@@ -204,6 +216,69 @@ def test_twenty_states_past_one_block():
         expected = reference_backward_sample(filt.alphas, kernel, np.random.default_rng(seed))
         skeleton = backward_sample(filt, kernel, np.random.default_rng(seed))
         assert np.array_equal(skeleton, expected)
+
+
+def lockstep_rows(n_states, n_chains, width, seed):
+    """Filter rows of a lockstep batch, ``(width + 1, R, S)``, a sparse kernel
+    and uniforms ``(width + 1, R)``: chains end at different steps and are
+    padded by kernel steps without normalisation; rows have hard zeros, one
+    row is all zeros and some uniforms are 0 or 1 (a cut equal to the total)."""
+    rng = np.random.default_rng(seed)
+    q = rng.uniform(0.1, 0.9, (n_states, n_states)) * (rng.random((n_states, n_states)) < 0.6)
+    q[np.arange(n_states), (np.arange(n_states) + 1) % n_states] += 0.5
+    np.fill_diagonal(q, 0.0)
+    np.fill_diagonal(q, -q.sum(axis=1))
+    q = validate_rate_matrix(q)
+    p = build_kernel(q, 1.5 * q.q_max).p
+    alphas = rng.random((width + 1, n_chains, n_states)) * (rng.random((width + 1, n_chains,
+                                                                       n_states)) < 0.5)
+    alphas[:, :, 0] += 1e-3 * (alphas.sum(axis=2) == 0)
+    ends = rng.integers(0, width + 1, n_chains)
+    for i in range(1, width + 1):
+        pad = i > ends
+        alphas[i, pad] = alphas[i - 1, pad] @ p
+    alphas[width // 2, 0] = 0.0
+    u = rng.random((width + 1, n_chains))
+    u[rng.random(u.shape) < 0.05] = 1.0
+    u[rng.random(u.shape) < 0.05] = 0.0
+    return alphas, p, u
+
+
+@pytest.mark.parametrize("n_states", [2, 3, 20])
+@pytest.mark.parametrize("n_chains,width", [(1, 40), (7, 12), (1000, 3)])
+@pytest.mark.parametrize("rows_per_block", [None, 5])
+def test_predecessor_table_matches_per_row_draws(monkeypatch, n_states, n_chains, width,
+                                                 rows_per_block):
+    if rows_per_block is not None:  # blocks that end inside a step of the batch
+        monkeypatch.setattr(ffbs, "BACKWARD_BYTES", 9 * n_states**2 * rows_per_block)
+    alphas, p, u = lockstep_rows(n_states, n_chains, width, seed=n_states * n_chains)
+    rows, cuts = alphas[:-1].reshape(-1, n_states), u[:-1].ravel()
+    pred = _predecessors(rows, p, cuts)
+    assert pred.dtype == np.uint8
+    assert np.array_equal(pred, reference_predecessors(rows, p, cuts))
+
+
+@pytest.mark.parametrize("n_states", [255, 256, 257])
+def test_backward_sample_where_the_count_dtype_widens(n_states):
+    # counts reach S - 1: uint8 up to S = 256, uint16 from 257
+    rng = np.random.default_rng(n_states)
+    q = rng.uniform(0.1, 0.9, (n_states, n_states))
+    np.fill_diagonal(q, 0.0)
+    np.fill_diagonal(q, -q.sum(axis=1))
+    q = validate_rate_matrix(q)
+    grid = np.sort(rng.uniform(0.0, 1.0, 20))
+    liks = rng.uniform(0.05, 1.0, (4, n_states)) * (rng.random((4, n_states)) < 0.3)
+    liks[:, 0] = 1.0
+    ev = Evidence([0.0, grid[3], grid[3], grid[-1]], liks)
+    kernel, ref, filt = _filter_pair(q, np.full(n_states, 1.0 / n_states), grid, ev, 2.0)
+    _assert_filters_agree(ref, filt)
+    for seed in range(3):
+        expected = reference_backward_sample(filt.alphas, kernel, np.random.default_rng(seed))
+        assert np.array_equal(backward_sample(filt, kernel, np.random.default_rng(seed)), expected)
+    alphas, p, u = lockstep_rows(n_states, 1, 6, seed=n_states)
+    pred = _predecessors(alphas[:-1, 0], p, u[:-1, 0])
+    assert pred.dtype == (np.uint8 if n_states <= 256 else np.uint16)
+    assert np.array_equal(pred, reference_predecessors(alphas[:-1, 0], p, u[:-1, 0]))
 
 
 @pytest.fixture

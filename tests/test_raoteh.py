@@ -1,12 +1,13 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from mjpsampler.diagnostics import seed_trajectory
-from mjpsampler.errors import InitFailed, LambdaTooSmall
-from mjpsampler.ffbs import build_kernel
+from mjpsampler.errors import InitFailed, LambdaTooSmall, TooLarge
+from mjpsampler.ffbs import GRID_CAP, _predecessors, build_kernel
 from mjpsampler.model import (
     Evidence,
     Grid,
@@ -225,6 +226,32 @@ class TestRunChain:
             assert not x.jump_states.flags.writeable
             assert trajectory_log_likelihood(x, ev) > -np.inf
 
+    def test_one_sweep_keeps_the_posterior(self):
+        # chains start from exact posterior draws (prior draws accepted with
+        # probability L(Y | X) / max L); one rao_teh_step sweep of each, run
+        # through run_chain, must leave the probe marginals at the exact posterior
+        nu, window = np.array([0.5, 0.3, 0.2]), (0.0, 2.0)
+        ev = Evidence([0.0, 0.5, 0.5, 1.4],
+                      [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.2, 1.0, 0.2], [0.1, 0.1, 0.8]])
+        rng = np.random.default_rng(9)
+        prior = [gillespie_simulate(nu, Q3, window, rng) for _ in range(40_000)]
+        times, states = pad_paths(prior)
+        lik = np.ones(len(prior))
+        for t, row, top in zip(ev.times, ev.liks, ev.lik_max):
+            lik *= row[states[np.arange(len(prior)), (times <= t).sum(axis=1)]] / top
+        starts = [x for x, keep in zip(prior, rng.random(len(prior)) < lik) if keep]
+        assert max(x.n_jumps for x in starts) >= 6
+
+        probes = [0.0, 0.5, 1.0, 1.4, 2.0]
+        cfg = SamplerConfig(n_sweeps=1)
+        states = np.array([run_chain(nu, Q3, ev, window, cfg, rng=rng, probes=probes,
+                                     x0=x).probe_states[0] for x in starts])
+        exact = exact_posterior_marginals(nu, Q3, ev, probes, window)
+        for k, target in enumerate(exact):
+            freq = np.bincount(states[:, k], minlength=3) / len(starts)
+            se = np.sqrt(target * (1 - target) / len(starts))
+            assert (np.abs(freq - target) <= 5.0 * se).all()
+
     def test_lambda_insensitivity_smoke(self):
         ev = Evidence([0.8], [[0.9, 0.1]])
         freqs = []
@@ -391,3 +418,74 @@ class TestLockstepSweep:
                 x = Trajectory(*self.WINDOW, s0, jump_times, jump_states)
                 assert trajectory_log_likelihood(x, ev) > -np.inf
             assert (times < t_max).sum(axis=1).min() < (times < t_max).sum(axis=1).max()
+
+
+def reference_lockstep_backward(alphas, p, u):
+    """The lockstep engine's former backward loop: per step, one inverse-CDF
+    draw of every chain, conditioned on its state after it; the first draw
+    is from ``alphas[-1]`` itself."""
+    width, n_chains, n_states = alphas.shape[0] - 1, alphas.shape[1], alphas.shape[2]
+    succ = np.vstack((p.T, np.ones(n_states)))  # succ[s, r] = p[r, s]; ones to start
+    skeleton = np.empty((width + 1, n_chains), dtype=np.int64)
+    s = np.full(n_chains, n_states)
+    for i in range(width, -1, -1):
+        cum = np.cumsum(alphas[i] * succ[s], axis=1)
+        s = np.minimum((cum <= u[i, :, None] * cum[:, -1:]).sum(axis=1), n_states - 1)
+        skeleton[i] = s
+    return skeleton
+
+
+class TestLockstepBackward:
+    @staticmethod
+    def _table_walk(alphas, p, u):
+        """rao_teh_step_many's draw: the first S - 1 running sums of
+        ``alphas[-1]``, then one gather per step from the shared table."""
+        width, n_chains, n_states = alphas.shape
+        width -= 1
+        cum = np.cumsum(alphas[width], axis=1)
+        skeleton = np.empty((width + 1, n_chains), dtype=np.int64)
+        skeleton[width] = s = (cum[:, :-1] <= u[width, :, None] * cum[:, -1:]).sum(axis=1)
+        pred = _predecessors(alphas[:width].reshape(-1, n_states), p, u[:width].ravel())
+        pred = pred.reshape(n_states, width, n_chains)
+        for i in range(width - 1, -1, -1):
+            skeleton[i] = s = pred[s, i, np.arange(n_chains)]
+        return skeleton
+
+    @pytest.mark.parametrize("q", [SYM2, Q3, Q20], ids=["S2", "S3", "S20"])
+    @pytest.mark.parametrize("n_chains", [1, 7, 1000])
+    def test_table_walk_matches_the_step_loop(self, q, n_chains):
+        # filtered rows with hard zeros, normalised where evidence attaches;
+        # each chain ends at its own step and is padded by kernel steps
+        rng = np.random.default_rng([q.n_states, n_chains])
+        p = build_kernel(q, 2.0 * q.q_max).p
+        width = 30 if n_chains < 1000 else 4
+        ends = rng.integers(0, width + 1, n_chains)
+        alphas = np.empty((width + 1, n_chains, q.n_states))
+        alphas[0] = rng.dirichlet(np.ones(q.n_states), n_chains)
+        for i in range(1, width + 1):
+            alphas[i] = alphas[i - 1] @ p
+            own = (i <= ends) & (rng.random(n_chains) < 0.5)
+            f = rng.random((own.sum(), q.n_states)) * (rng.random((own.sum(), q.n_states)) < 0.5)
+            f[:, 0] += 1e-3 * (f.sum(axis=1) == 0)
+            alphas[i, own] *= f
+            alphas[i, own] /= alphas[i, own].sum(axis=1, keepdims=True)
+        u = rng.random((width + 1, n_chains))
+        u[rng.random(u.shape) < 0.05] = 1.0  # the cut rounds up to the total
+        expected = reference_lockstep_backward(alphas, p, u)
+        assert np.array_equal(self._table_walk(alphas, p, u), expected)
+
+    def test_grid_past_cap_raises_before_allocating(self):
+        # one chain whose grid exceeds GRID_CAP: the filter rows alone would
+        # take 8 * 20 * GRID_CAP bytes (40 MB)
+        kernel = build_kernel(Q20, 2.0 * Q20.q_max)
+        times = np.linspace(0.0, 2.0, GRID_CAP + 3)[1:-1][None, :]
+        states = (np.arange(GRID_CAP + 2) % 2)[None, :]
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge):
+                rao_teh_step_many(times, states, (0.0, 2.0), np.full(20, 0.05), Q20,
+                                  Evidence.empty(20), kernel, np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 20 * GRID_CAP / 2
