@@ -96,6 +96,8 @@ def main(argv=None) -> int:
     parser.add_argument("--machine", required=True, help="hardware and software of the runs")
     parser.add_argument("--workdir", default=None, help="where the parent tree is exported")
     args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2, to give quartiles")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     command = bench["command"]

@@ -230,8 +230,8 @@ def lockstep_rows(n_states, n_chains, width, seed):
     np.fill_diagonal(q, -q.sum(axis=1))
     q = validate_rate_matrix(q)
     p = build_kernel(q, 1.5 * q.q_max).p
-    alphas = rng.random((width + 1, n_chains, n_states)) * (rng.random((width + 1, n_chains,
-                                                                       n_states)) < 0.5)
+    shape = (width + 1, n_chains, n_states)
+    alphas = rng.random(shape) * (rng.random(shape) < 0.5)
     alphas[:, :, 0] += 1e-3 * (alphas.sum(axis=2) == 0)
     ends = rng.integers(0, width + 1, n_chains)
     for i in range(1, width + 1):

@@ -440,8 +440,7 @@ class TestLockstepBackward:
     def _table_walk(alphas, p, u):
         """rao_teh_step_many's draw: the first S - 1 running sums of
         ``alphas[-1]``, then one gather per step from the shared table."""
-        width, n_chains, n_states = alphas.shape
-        width -= 1
+        width, (n_chains, n_states) = alphas.shape[0] - 1, alphas.shape[1:]
         cum = np.cumsum(alphas[width], axis=1)
         skeleton = np.empty((width + 1, n_chains), dtype=np.int64)
         skeleton[width] = s = (cum[:, :-1] <= u[width, :, None] * cum[:, -1:]).sum(axis=1)
