@@ -6,9 +6,10 @@
 Exports the parent commit with ``git archive`` into a temporary directory and
 runs the benchmark command of ``BENCHMARK.json`` there and in this checkout
 (the change, as its files stand): for every workload, ``--pairs`` pairs of
-``--seconds`` untraced runs with sampler seeds ``first-seed, first-seed + 1,
-...``, odd pairs running the parent first and even pairs the change first;
-then one ``--trace 1`` run per side and workload. Each run's JSON result line
+untraced runs of the benchmark's ``run_seconds`` with sampler seeds
+``first-seed, first-seed + 1, ...``, odd pairs running the parent first and
+even pairs the change first; then one ``TRACED_SECONDS`` run with
+``--trace 1`` per side and workload. Each run's JSON result line
 is kept as printed. The output file has the fields of ``BENCH_7.json``, and a
 table of medians, quartiles and pair wins is printed to stdout.
 """
@@ -26,6 +27,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TRACED_SECONDS = 10.0
 
 
 def export_tree(rev: str, dest: Path) -> str:
@@ -86,24 +88,18 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, required=True,
                         help="sampler seed of the first pair; pair k uses first-seed + k - 1")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="length of an untraced run (default: BENCHMARK.json run_seconds)")
     parser.add_argument("--traced-seed", type=int, required=True)
-    parser.add_argument("--traced-seconds", type=float, default=10.0)
-    parser.add_argument("--workloads", default=None,
-                        help="comma-separated names (default: every BENCHMARK.json workload)")
     parser.add_argument("--description", required=True)
     parser.add_argument("--machine", required=True, help="hardware and software of the runs")
-    parser.add_argument("--workdir", default=None, help="where the parent tree is exported")
+    parser.add_argument("--workdir", type=Path, default=None,
+                        help="where the parent tree is exported")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, to give quartiles")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     command = bench["command"]
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
-    names = (args.workloads.split(",") if args.workloads
-             else [w["name"] for w in bench["workloads"]])
+    seconds = bench["run_seconds"]
     metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
 
     with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
@@ -111,7 +107,7 @@ def main(argv=None) -> int:
         parent = export_tree(args.parent, parent_tree)
         trees = {"parent": parent_tree, "change": ROOT}
         runs, traced = [], []
-        for workload in names:
+        for workload in (w["name"] for w in bench["workloads"]):
             for pair in range(1, args.pairs + 1):
                 seed = args.first_seed + pair - 1
                 order = ("parent", "change") if pair % 2 else ("change", "parent")
@@ -124,7 +120,7 @@ def main(argv=None) -> int:
                           file=sys.stderr, flush=True)
             for side in ("parent", "change"):
                 result = run_once(trees[side], command, workload, args.traced_seed,
-                                  args.traced_seconds, 1)
+                                  TRACED_SECONDS, 1)
                 traced.append({"side": side, "workload": workload, "seed": args.traced_seed,
                                "result": result})
 
@@ -134,7 +130,7 @@ def main(argv=None) -> int:
         "parent": parent,
         "command": f"{shell} --workload <w> --seed <seed> --seconds {seconds:g} --trace 0",
         "traced_command": (f"{shell} --workload <w> --seed {args.traced_seed} "
-                           f"--seconds {args.traced_seconds:g} --trace 1"),
+                           f"--seconds {TRACED_SECONDS:g} --trace 1"),
         "machine": args.machine,
         "order": "odd pairs run the parent first, even pairs the change first",
         "runs": runs,

@@ -51,9 +51,8 @@ def attach_emissions(grid_times, ev: Evidence) -> tuple[np.ndarray, np.ndarray]:
     return idx[heads], np.multiply.reduceat(ev.liks, heads, axis=0)
 
 
-# Bytes per block of the backward pass's predecessor table, at 9 S^2 a row (one
-# step of one chain: float running sums and comparison bytes); at least one
-# row, about 1160 at S = 20 and 7 at S = 256.
+# Bytes per block of the backward predecessor table, at 9 S^2 a row (one step of
+# one chain: float sums and comparison bytes); at least one row, 7 at S = 256.
 BACKWARD_BYTES = 1 << 22
 
 # Longest grid, in kernel steps, that forward_filter accepts. At the cap the
@@ -269,15 +268,15 @@ def _predecessors(alphas: np.ndarray, p: np.ndarray, u: np.ndarray) -> np.ndarra
     rows, n_states = alphas.shape
     dtype = np.uint8 if n_states <= 256 else np.uint16  # counts up to S - 1
     block = max(1, BACKWARD_BYTES // (9 * n_states * n_states))
-    parts = []
-    for lo in range(0, max(rows, 1), block):  # an empty table is one empty block
+    out = np.empty((n_states, rows), dtype)
+    for lo in range(0, rows, block):
         cums = np.einsum("st,sm->stm", p, alphas[lo:lo + block].T.copy())
         for s in range(1, n_states):
             np.add(cums[s - 1], cums[s], out=cums[s])
         passed = cums[:-1] <= u[lo:lo + block] * cums[-1]
         del cums  # before the next block is filled
-        parts.append(passed.view(np.uint8).sum(axis=0, dtype=dtype))
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        passed.view(np.uint8).sum(axis=0, dtype=dtype, out=out[:, lo:lo + block])
+    return out
 
 
 def backward_sample(filt: FilterState, kernel: UniformizedKernel,

@@ -127,6 +127,22 @@ def _normalizers(w: np.ndarray) -> np.ndarray:
     return c
 
 
+def _lockstep_backward(alphas: np.ndarray, p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Backward draws ``(W + 1, R)`` of R chains from filter rows ``(W + 1, R, S)``
+    and uniforms ``(W + 1, R)``: the last from its first S - 1 running sums, as
+    in :func:`ffbs._predecessors`, then one gather per step from that table."""
+    width, (n_chains, n_states) = alphas.shape[0] - 1, alphas.shape[1:]
+    cum = np.cumsum(alphas[width], axis=1)
+    skeleton = np.empty((width + 1, n_chains), dtype=np.int64)
+    skeleton[width] = s = (cum[:, :-1] <= u[width, :, None] * cum[:, -1:]).sum(axis=1)
+    pred = _predecessors(alphas[:width].reshape(-1, n_states), p, u[:width].ravel())
+    pred = pred.reshape(n_states, width, n_chains)
+    chain = np.arange(n_chains)
+    for i in range(width - 1, -1, -1):
+        skeleton[i] = s = pred[s, i, chain]
+    return skeleton
+
+
 def rao_teh_step_many(times: np.ndarray, states: np.ndarray, window: tuple[float, float],
                       nu, q: RateMatrix, ev: Evidence, kernel: UniformizedKernel,
                       rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -136,12 +152,10 @@ def rao_teh_step_many(times: np.ndarray, states: np.ndarray, window: tuple[float
     :func:`pad_paths`, and the new trajectories come back in that form.
     ``kernel`` must be ``build_kernel(q, lam)``; ``ev`` must lie in the
     window. Grids of different lengths share one array of the longest
-    length; rows past a chain's own grid add no evidence. The backward draw
-    reads :func:`backward_sample`'s predecessor table, one gather per step. With
+    length; rows past a chain's own grid add no evidence. With
     one chain the generator is used in :func:`rao_teh_step`'s order (Poisson
     counts, placements, then ``N + 1`` backward uniforms), so the same
-    trajectory is drawn. Raises :class:`TooLarge` past ``GRID_CAP`` steps,
-    before the filter is allocated.
+    trajectory is drawn. Raises :class:`TooLarge` past ``GRID_CAP`` steps.
     """
     t_min, t_max = window
     n_chains = states.shape[0]
@@ -208,18 +222,9 @@ def rao_teh_step_many(times: np.ndarray, states: np.ndarray, window: tuple[float
             w = alphas[i, sel] * factors[lo:hi]
             alphas[i, sel] = w / _normalizers(w)[:, None]
 
-    # backward draw: inverse CDF from alphas[width] (first S - 1 sums, as in
-    # the predecessor table), then the table. A shorter chain draws through its
-    # padding rows first: they extend its grid by kernel steps without
-    # evidence, which leaves the law of its own skeleton unchanged.
-    u = rng.random((width + 1, n_chains))
-    cum = np.cumsum(alphas[width], axis=1)
-    skeleton = np.empty((width + 1, n_chains), dtype=np.int64)
-    skeleton[width] = s = (cum[:, :-1] <= u[width, :, None] * cum[:, -1:]).sum(axis=1)
-    pred = _predecessors(alphas[:width].reshape(-1, n_states), p, u[:width].ravel())
-    pred = pred.reshape(n_states, width, n_chains)
-    for i in range(width - 1, -1, -1):
-        skeleton[i] = s = pred[s, i, chain]
+    # backward draw: a shorter chain draws through its padding rows first, kernel
+    # steps without evidence, which leave the law of its own skeleton unchanged
+    skeleton = _lockstep_backward(alphas, p, rng.random((width + 1, n_chains)))
 
     # collapse: keep the state changes inside each chain's grid
     jump = ((skeleton[1:] != skeleton[:-1]) & (np.arange(1, width + 1)[:, None] <= n)).T

@@ -37,6 +37,7 @@ from mjpsampler.model import POWER_STEPS, Evidence, validate_rate_matrix
 from mjpsampler.oracle import enumerate_skeleton_posterior
 
 ENUMERATION_LIMIT = 4096  # skeletons; keeps each example fast
+BACKWARD_ROWS = 256  # rows per backward block in the hypothesis test, by a patched budget
 Q2 = validate_rate_matrix([[-1.0, 1.0], [0.5, -0.5]])
 
 
@@ -109,7 +110,7 @@ def cases(draw):
     n_steps = draw(st.sampled_from(
         [0, 1, 2, 3, 5, POWER_STEPS - 1, POWER_STEPS, POWER_STEPS + 1, 2 * POWER_STEPS + 1,
          BLOCKED_MIN_STEPS - 1, BLOCKED_MIN_STEPS, BLOCKED_MIN_STEPS + 1,
-         7 * BLOCK_STEPS + 5, 257, 259]))
+         7 * BLOCK_STEPS + 5, BACKWARD_ROWS + 1, BACKWARD_ROWS + 3]))
     grid = np.sort(draw(st.lists(st.integers(1, 10**6), min_size=n_steps,
                                  max_size=n_steps, unique=True))).astype(float) / 10**6
 
@@ -172,11 +173,13 @@ def test_table_passes_match_step_loops(case, seed):
     event("blocked filter" if _blocked(case[2].size, kernel, n_attached) else "segment loop")
     _assert_filters_agree(ref, filt)
     rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    for _ in range(3):
-        expected = reference_backward_sample(filt.alphas, kernel, rng_ref)
-        skeleton = backward_sample(filt, kernel, rng)
-        assert skeleton.dtype == np.int64
-        assert np.array_equal(skeleton, expected)
+    with pytest.MonkeyPatch.context() as patch:  # long grids cross a block boundary
+        patch.setattr(ffbs, "BACKWARD_BYTES", 9 * kernel.n_states**2 * BACKWARD_ROWS)
+        for _ in range(3):
+            expected = reference_backward_sample(filt.alphas, kernel, rng_ref)
+            skeleton = backward_sample(filt, kernel, rng)
+            assert skeleton.dtype == np.int64
+            assert np.array_equal(skeleton, expected)
     assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 

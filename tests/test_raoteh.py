@@ -7,7 +7,7 @@ import scipy.linalg
 
 from mjpsampler.diagnostics import seed_trajectory
 from mjpsampler.errors import InitFailed, LambdaTooSmall, TooLarge
-from mjpsampler.ffbs import GRID_CAP, _predecessors, build_kernel
+from mjpsampler.ffbs import GRID_CAP, build_kernel
 from mjpsampler.model import (
     Evidence,
     Grid,
@@ -19,6 +19,7 @@ from mjpsampler.model import (
 )
 from mjpsampler.oracle import exact_posterior_marginals
 from mjpsampler.raoteh import (
+    _lockstep_backward,
     _merge_candidate_times,
     initial_trajectory,
     pad_paths,
@@ -436,20 +437,6 @@ def reference_lockstep_backward(alphas, p, u):
 
 
 class TestLockstepBackward:
-    @staticmethod
-    def _table_walk(alphas, p, u):
-        """rao_teh_step_many's draw: the first S - 1 running sums of
-        ``alphas[-1]``, then one gather per step from the shared table."""
-        width, (n_chains, n_states) = alphas.shape[0] - 1, alphas.shape[1:]
-        cum = np.cumsum(alphas[width], axis=1)
-        skeleton = np.empty((width + 1, n_chains), dtype=np.int64)
-        skeleton[width] = s = (cum[:, :-1] <= u[width, :, None] * cum[:, -1:]).sum(axis=1)
-        pred = _predecessors(alphas[:width].reshape(-1, n_states), p, u[:width].ravel())
-        pred = pred.reshape(n_states, width, n_chains)
-        for i in range(width - 1, -1, -1):
-            skeleton[i] = s = pred[s, i, np.arange(n_chains)]
-        return skeleton
-
     @pytest.mark.parametrize("q", [SYM2, Q3, Q20], ids=["S2", "S3", "S20"])
     @pytest.mark.parametrize("n_chains", [1, 7, 1000])
     def test_table_walk_matches_the_step_loop(self, q, n_chains):
@@ -471,7 +458,7 @@ class TestLockstepBackward:
         u = rng.random((width + 1, n_chains))
         u[rng.random(u.shape) < 0.05] = 1.0  # the cut rounds up to the total
         expected = reference_lockstep_backward(alphas, p, u)
-        assert np.array_equal(self._table_walk(alphas, p, u), expected)
+        assert np.array_equal(_lockstep_backward(alphas, p, u), expected)
 
     def test_grid_past_cap_raises_before_allocating(self):
         # one chain whose grid exceeds GRID_CAP: the filter rows alone would
