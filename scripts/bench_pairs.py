@@ -11,7 +11,9 @@ untraced runs of the benchmark's ``run_seconds`` with sampler seeds
 even pairs the change first; then one ``TRACED_SECONDS`` run with
 ``--trace 1`` per side and workload. Each run's JSON result line
 is kept as printed. The output file has the fields of ``BENCH_7.json``, and a
-table of medians, quartiles and pair wins is printed to stdout.
+table of medians, quartiles and pair wins is printed to stdout. Runs whose
+checks failed are left out of that table and listed on stderr, and the script
+then exits 1, after writing the file.
 """
 
 from __future__ import annotations
@@ -58,18 +60,25 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def failed(result: dict) -> bool:
+    """Whether a run's result line reports a failed check or failed operations."""
+    return not result["correct"] or result["failed"] > 0
+
+
 def summary(runs: list[dict], metrics: dict[str, str]) -> str:
     """Per workload and metric: parent and change median [quartiles], the
-    ratio of medians and the pairs the change won (ties count for neither)."""
+    ratio of medians and the pairs the change won (ties count for neither).
+    Failed runs are left out, and a pair with a failed run counts for neither."""
     lines = []
     for workload in dict.fromkeys(r["workload"] for r in runs):
         for name, better in metrics.items():
             sides = {side: {r["pair"]: r["result"]["metrics"][name]["value"] for r in runs
-                            if r["workload"] == workload and r["side"] == side}
+                            if r["workload"] == workload and r["side"] == side
+                            and not failed(r["result"])}
                      for side in ("parent", "change")}
+            if min(len(sides["parent"]), len(sides["change"])) < 2:
+                continue  # quartiles need two runs a side
             pairs = sorted(sides["parent"].keys() & sides["change"].keys())
-            if not pairs:
-                continue
             sign = 1.0 if better == "higher" else -1.0
             wins = sum(sign * (sides["change"][p] - sides["parent"][p]) > 0 for p in pairs)
             (pq1, pm, pq3), (cq1, cm, cq3) = (quartiles(list(sides[s].values()))
@@ -137,8 +146,13 @@ def main(argv=None) -> int:
         "traced_runs": traced,
     }
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
+    bad = [r for r in runs + traced if failed(r["result"])]
+    for r in bad:
+        print(f"failed run: {r['workload']} {r['side']} seed {r['seed']}: "
+              f"correct {r['result']['correct']}, {r['result']['failed']} failed",
+              file=sys.stderr)
     print(summary(runs, metrics))
-    return 0
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import io
 from .diagnostics import estimate_drift, estimate_tv_decay, trace_summary
-from .errors import InitFailed, MJPError, ParseError, ValidationError
+from .errors import InitFailed, MJPError, ParseError, TimeOutOfWindow, ValidationError
 from .model import Evidence, SamplerConfig
 from .oracle import exact_posterior_marginals
 from .raoteh import initial_trajectory, run_chain
@@ -125,9 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("--trace", default=None, help="trace mode: input trace CSV")
     p_diag.add_argument("--burn-in", type=int, default=None,
                         help="trace mode: sweeps to drop; defaults to the trace's own")
-    p_diag.add_argument("--threads", type=int, default=1,
-                        help="drift and tv modes: worker processes to start "
-                             "(1 runs in this process)")
     p_diag.add_argument("--out", required=True)
     p_diag.set_defaults(func=cmd_diagnose)
     return parser
@@ -243,8 +240,7 @@ def cmd_diagnose(args) -> int:
     _echo_config("diagnose", args, seed, {"window": list(window)})
 
     if args.mode == "drift":
-        est = estimate_drift(nu, q, ev, cfg, window, args.ns, args.replicates,
-                             n_jobs=args.threads)
+        est = estimate_drift(nu, q, ev, cfg, window, args.ns, args.replicates)
         io.write_drift_csv(args.out, est)
         print(json.dumps({"q_hat": est.q_hat, "c_hat": est.c_hat,
                           "ci_slope": list(est.ci_slope)}))
@@ -255,8 +251,7 @@ def cmd_diagnose(args) -> int:
     rng = np.random.default_rng(seed)
     x0 = initial_trajectory(nu, q, ev, window, cfg, rng)
     start = time.perf_counter()
-    curve = estimate_tv_decay(nu, q, ev, cfg, x0, args.ms, args.replicates, probe,
-                              rng=rng, n_jobs=args.threads)
+    curve = estimate_tv_decay(nu, q, ev, cfg, x0, args.ms, args.replicates, probe, rng=rng)
     wall = time.perf_counter() - start
     io.write_tv_csv(args.out, curve)
     chain_sweeps = curve.n_replicates * int(curve.ms.max())
@@ -275,7 +270,7 @@ def parse_and_dispatch(argv) -> int:
         return 0 if e.code in (0, None) else 1
     try:
         return args.func(args)
-    except (ParseError, ValidationError) as e:
+    except (ParseError, ValidationError, TimeOutOfWindow) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except MJPError as e:

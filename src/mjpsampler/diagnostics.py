@@ -9,7 +9,6 @@ standard MCMC output statistics.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,17 +95,6 @@ class DriftEstimate:
                         self.std_errors.tolist()))
 
 
-def _drift_chunk(args):
-    nu, q, ev, cfg, window, n, seeds = args
-    x_seed = seed_trajectory(q, window, n)
-    kernel = build_kernel(q, cfg.lambda_factor * q.q_max)
-    out = np.empty(len(seeds), dtype=np.int64)
-    for i, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        out[i] = rao_teh_step(x_seed, nu, q, ev, cfg, rng, kernel=kernel)[0].n_jumps
-    return out
-
-
 def estimate_drift(nu, q: RateMatrix, ev: Evidence, cfg: SamplerConfig,
                    window: tuple[float, float], ns, replicates: int,
                    rng: np.random.Generator | None = None,
@@ -114,37 +102,39 @@ def estimate_drift(nu, q: RateMatrix, ev: Evidence, cfg: SamplerConfig,
     """Monte Carlo estimate of ``E(|J(X')| | |J(X)| = n)`` over seeded ``n``.
 
     For each ``n`` the chain is conditioned on the deterministic seed
-    trajectory and stepped once per replicate. A least-squares line through
-    the per-``n`` means gives the contraction slope ``q_hat`` with a 95%
-    confidence interval.
+    trajectory and stepped once per replicate, all sweeps drawing from
+    ``rng`` in turn. A least-squares line through the per-``n`` means gives
+    the contraction slope ``q_hat`` with a 95% confidence interval.
+    ``n_jobs`` must be 1; it is kept only for the benchmark, which passes
+    ``n_jobs=1``, and goes when drift moves onto the lockstep engine
+    (ROADMAP item 1).
     """
+    if n_jobs != 1:
+        raise ValueError(f"n_jobs must be 1, got {n_jobs}")
     ns = np.asarray(ns, dtype=np.int64)
     if ns.size < 2 or (np.diff(ns) <= 0).any():
         raise ValueError("ns must be increasing with at least two entries")
+    if ns[0] < 0:
+        raise ValueError(f"ns must hold nonnegative jump counts, got {ns.tolist()}")
     if replicates < 100:
         raise ValueError("need at least 100 replicates per point")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     nu = as_distribution(nu, q.n_states)
 
-    for n in ns:
-        x_seed = seed_trajectory(q, window, int(n))
+    starts = [seed_trajectory(q, window, int(n)) for n in ns]
+    for n, x_seed in zip(ns, starts):
         if trajectory_log_likelihood(x_seed, ev) == -np.inf:
             raise SeedTrajectoryInfeasible(
                 f"evidence inconsistent with the {n}-jump seed trajectory"
             )
 
-    seeds = rng.integers(2**63, size=(ns.size, replicates))
+    kernel = build_kernel(q, cfg.lambda_factor * q.q_max)
     means = np.empty(ns.size)
     ses = np.empty(ns.size)
-    tasks = [(nu, q, ev, cfg, window, int(n), seeds[i].tolist())
-             for i, n in enumerate(ns)]
-    if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(_drift_chunk, tasks))
-    else:
-        results = [_drift_chunk(t) for t in tasks]
-    for i, counts in enumerate(results):
+    for i, x_seed in enumerate(starts):
+        counts = np.array([rao_teh_step(x_seed, nu, q, ev, cfg, rng, kernel=kernel)[0].n_jumps
+                           for _ in range(replicates)])
         means[i] = counts.mean()
         ses[i] = counts.std(ddof=1) / np.sqrt(replicates)
 
@@ -178,24 +168,6 @@ class TvDecayCurve:
 CHAIN_BLOCK = 1000
 
 
-def _tv_block(args):
-    nu, q, ev, cfg, x0, ms, probe, n_chains, seed = args
-    kernel = build_kernel(q, cfg.lambda_factor * q.q_max)
-    rng = np.random.default_rng(seed)
-    times, states = (np.repeat(a, n_chains, axis=0) for a in pad_paths([x0]))
-    chain = np.arange(n_chains)
-    counts = np.zeros((len(ms), q.n_states), dtype=np.int64)
-    done = 0
-    for k, m in enumerate(ms):
-        for _ in range(done, m):
-            times, states = rao_teh_step_many(times, states, (x0.t_min, x0.t_max),
-                                              nu, q, ev, kernel, rng)
-        done = m
-        at_probe = states[chain, (times <= probe).sum(axis=1)]
-        counts[k] = np.bincount(at_probe, minlength=q.n_states)
-    return counts
-
-
 def estimate_tv_decay(nu, q: RateMatrix, ev: Evidence, cfg: SamplerConfig,
                       x0: Trajectory, ms, n_replicates: int, probe: float,
                       rng: np.random.Generator | None = None,
@@ -203,12 +175,13 @@ def estimate_tv_decay(nu, q: RateMatrix, ev: Evidence, cfg: SamplerConfig,
     """TV distance of the ``m``-sweep probe-state law to the exact posterior.
 
     Runs ``n_replicates`` independent chains from the fixed ``x0``, in
-    lockstep blocks of ``CHAIN_BLOCK`` chains; each block is advanced to
-    ``max(ms)`` sweeps with the probe state recorded at every requested
-    ``m``. Each block draws from its own generator, seeded from ``rng``, and
-    the blocks do not depend on ``n_jobs``, so neither do the results; with
-    ``n_jobs > 1`` worker processes run whole blocks.
+    lockstep blocks of ``CHAIN_BLOCK`` chains, one block after another, all
+    drawing from ``rng``; each block is advanced to ``max(ms)`` sweeps with
+    the probe state recorded at every requested ``m``. ``n_jobs`` must be 1,
+    as for :func:`estimate_drift`.
     """
+    if n_jobs != 1:
+        raise ValueError(f"n_jobs must be 1, got {n_jobs}")
     ms = [int(m) for m in ms]
     if not ms:
         raise ValueError("ms must name at least one sweep count")
@@ -224,18 +197,23 @@ def estimate_tv_decay(nu, q: RateMatrix, ev: Evidence, cfg: SamplerConfig,
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     nu = as_distribution(nu, q.n_states)
-    target = exact_posterior_marginals(nu, q, ev, [probe], (x0.t_min, x0.t_max))[0]
+    window = (x0.t_min, x0.t_max)
+    target = exact_posterior_marginals(nu, q, ev, [probe], window)[0]
 
-    sizes = [min(CHAIN_BLOCK, n_replicates - lo) for lo in range(0, n_replicates, CHAIN_BLOCK)]
-    seeds = rng.integers(2**63, size=len(sizes))
-    tasks = [(nu, q, ev, cfg, x0, ms.tolist(), probe, size, int(seed))
-             for size, seed in zip(sizes, seeds)]
-    if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(_tv_block, tasks))
-    else:
-        results = [_tv_block(t) for t in tasks]
-    counts = np.sum(results, axis=0)
+    kernel = build_kernel(q, cfg.lambda_factor * q.q_max)
+    start = pad_paths([x0])
+    counts = np.zeros((ms.size, q.n_states), dtype=np.int64)
+    for lo in range(0, n_replicates, CHAIN_BLOCK):
+        n_chains = min(CHAIN_BLOCK, n_replicates - lo)
+        times, states = (np.repeat(a, n_chains, axis=0) for a in start)
+        done = 0
+        for k, m in enumerate(ms):
+            for _ in range(done, m):
+                times, states = rao_teh_step_many(times, states, window, nu, q, ev,
+                                                  kernel, rng)
+            done = m
+            at_probe = states[np.arange(n_chains), (times <= probe).sum(axis=1)]
+            counts[k] += np.bincount(at_probe, minlength=q.n_states)
 
     tvs = np.empty(ms.size)
     ses = np.empty(ms.size)

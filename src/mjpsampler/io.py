@@ -79,9 +79,9 @@ def load_model(path) -> tuple[np.ndarray, RateMatrix]:
         nu = np.asarray(nu_raw, dtype=float)
         if nu.shape != (states,):
             raise ValidationError(f"'nu' must have {states} entries", pointer="/nu")
-        if (nu < 0).any() or abs(nu.sum() - 1.0) > 1e-9:
+        if not np.isfinite(nu).all() or (nu < 0).any() or abs(nu.sum() - 1.0) > 1e-9:
             raise ValidationError(
-                "'nu' must be nonnegative and sum to 1", pointer="/nu"
+                "'nu' must be finite, nonnegative and sum to 1", pointer="/nu"
             )
         nu = nu / nu.sum()
     return nu, q

@@ -289,8 +289,8 @@ class Evidence:
             lik_max = np.asarray(self.lik_max, dtype=float)
             if lik_max.shape != times.shape:
                 raise ValueError("lik_max must have one entry per observation")
-            if (lik_max < row_max).any() or (lik_max <= 0).any():
-                raise ValueError("lik_max must be positive and >= max likelihood")
+            if not (np.isfinite(lik_max) & (lik_max >= row_max) & (lik_max > 0)).all():
+                raise ValueError("lik_max must be finite, positive and >= max likelihood")
         object.__setattr__(self, "times", _freeze(times))
         object.__setattr__(self, "liks", _freeze(liks))
         object.__setattr__(self, "lik_max", _freeze(lik_max))

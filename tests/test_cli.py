@@ -188,6 +188,16 @@ class TestDiagnoseCommand:
         assert len(summary["tv_se"]) == 3 and summary["wall_s"] > 0
         assert summary["chain_sweeps_per_s"] == pytest.approx(50 * 2 / summary["wall_s"])
 
+    def test_drift_negative_ns_is_usage_error(self, tmp_path, model_file, capsys):
+        out = tmp_path / "drift.csv"
+        rc = parse_and_dispatch([
+            "diagnose", "--mode", "drift", "--model", model_file,
+            "--ns=-5,10", "--replicates", "100", "--out", str(out),
+        ])
+        assert rc == 1
+        assert "error: ns " in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("ms", ["1,1,2", ""])
     def test_tv_bad_ms_is_usage_error(self, tmp_path, model_file, evidence_file, ms, capsys):
         rc = parse_and_dispatch([
@@ -254,6 +264,19 @@ class TestDiagnoseCommand:
         assert float(row.split(",")[1]) == pytest.approx(n_jumps.mean(), rel=1e-12)
 
 
+@pytest.mark.parametrize("command", [
+    ["sample", "--sweeps", "5", "--probes", "9"],
+    ["oracle", "--probes", "9"],
+    ["diagnose", "--mode", "tv", "--ms", "0,1", "--replicates", "10", "--probe", "9"],
+], ids=["sample", "oracle", "diagnose-tv"])
+def test_probe_outside_the_window_is_usage_error(tmp_path, model_file, evidence_file,
+                                                 command, capsys):
+    rc = parse_and_dispatch([*command, "--model", model_file, "--evidence", evidence_file,
+                             "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "outside" in capsys.readouterr().err
+
+
 class TestSeedResolution:
     def test_env_seed_used(self, tmp_path, model_file, evidence_file, monkeypatch, capsys):
         monkeypatch.setenv("MJP_SEED", "99")
@@ -292,6 +315,24 @@ class TestValidationPointers:
         with pytest.raises(ValidationError) as exc:
             io.load_evidence(str(path))
         assert exc.value.pointer == "/obs/0/lik"
+
+    def test_non_finite_nu_pointer(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"states": 2, "Q": [[-1.0, 1.0], [1.0, -1.0]],
+                                    "nu": [float("nan"), 1.0]}))
+        with pytest.raises(ValidationError) as exc:
+            io.load_model(str(path))
+        assert exc.value.pointer == "/nu"
+
+    @pytest.mark.parametrize("lik_max", [float("nan"), float("inf")])
+    def test_non_finite_lik_max_pointer(self, tmp_path, lik_max):
+        path = tmp_path / "ev.json"
+        doc = {"t_min": 0.0, "t_max": 1.0,
+               "obs": [{"t": 0.5, "lik": [0.9, 0.1], "lik_max": lik_max}]}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError) as exc:
+            io.load_evidence(str(path))
+        assert exc.value.pointer == "/obs"
 
     def test_bad_json_is_parse_error(self, tmp_path):
         path = tmp_path / "junk.json"

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import signal
 
+from mjpsampler import diagnostics
 from mjpsampler.diagnostics import (
-    CHAIN_BLOCK,
     _find_cycle,
     estimate_drift,
     estimate_tv_decay,
@@ -93,11 +93,11 @@ class TestSeedTrajectory:
 
 
 class TestEstimateDrift:
-    def _estimate(self, seed=0, n_jobs=1):
+    def _estimate(self, seed=0):
         cfg = SamplerConfig(n_sweeps=1, seed=seed)
         return estimate_drift(
             [0.5, 0.5], SYM2, Evidence.empty(2), cfg, (0.0, 1.0),
-            ns=[10, 20, 40], replicates=150, n_jobs=n_jobs,
+            ns=[10, 20, 40], replicates=150,
         )
 
     def test_contraction(self):
@@ -112,12 +112,6 @@ class TestEstimateDrift:
         b = self._estimate(seed=3)
         assert (a.mean_jumps == b.mean_jumps).all()
         assert a.q_hat == b.q_hat and a.ci_slope == b.ci_slope
-
-    def test_parallel_matches_serial(self):
-        a = self._estimate(seed=5, n_jobs=1)
-        b = self._estimate(seed=5, n_jobs=2)
-        assert (a.mean_jumps == b.mean_jumps).all()
-        assert a.q_hat == b.q_hat
 
     def test_infeasible_evidence(self):
         # the 0-jump seed stays in state 0, contradicting this observation
@@ -135,16 +129,19 @@ class TestEstimateDrift:
         with pytest.raises(ValueError):
             estimate_drift([0.5, 0.5], SYM2, Evidence.empty(2), cfg, (0.0, 1.0),
                            ns=[10, 20], replicates=50)
+        with pytest.raises(ValueError, match="^ns "):
+            estimate_drift([0.5, 0.5], SYM2, Evidence.empty(2), cfg, (0.0, 1.0),
+                           ns=[-5, 10], replicates=100)
 
 
 class TestEstimateTvDecay:
-    def _curve(self, n_jobs=1, n_replicates=1500):
+    def _curve(self, n_replicates=1500):
         ev = Evidence([0.6], [[0.7, 0.2, 0.1]])
         cfg = SamplerConfig(n_sweeps=1, seed=11)
         x0 = seed_trajectory(Q3, (0.0, 1.5), 0)  # constant in state 0
         return estimate_tv_decay(
             [1 / 3, 1 / 3, 1 / 3], Q3, ev, cfg, x0,
-            ms=[0, 1, 2, 4, 8], n_replicates=n_replicates, probe=0.75, n_jobs=n_jobs,
+            ms=[0, 1, 2, 4, 8], n_replicates=n_replicates, probe=0.75,
         )
 
     def test_m_zero_is_deterministic_distance(self):
@@ -162,16 +159,25 @@ class TestEstimateTvDecay:
         for a, b, se in zip(curve.tv[:-1], curve.tv[1:], curve.tv_se[1:]):
             assert b <= a + 2.0 * max(se, 0.02)
 
-    def test_parallel_matches_serial(self):
-        a = self._curve(n_jobs=1, n_replicates=300)
-        b = self._curve(n_jobs=2, n_replicates=300)
-        assert np.array_equal(a.tv, b.tv)
+    def test_blocks_count_every_chain_once(self, monkeypatch):
+        # three blocks of 600, 600 and 300 chains
+        monkeypatch.setattr(diagnostics, "CHAIN_BLOCK", 600)
+        widths = []
+        step_many = diagnostics.rao_teh_step_many
 
-    def test_parallel_matches_serial_over_blocks(self):
-        # three blocks, the last one partial
-        a = self._curve(n_jobs=1, n_replicates=2 * CHAIN_BLOCK + 1)
-        b = self._curve(n_jobs=2, n_replicates=2 * CHAIN_BLOCK + 1)
-        assert np.array_equal(a.tv, b.tv)
+        def spy(times, *args):
+            widths.append(times.shape[0])
+            return step_many(times, *args)
+
+        monkeypatch.setattr(diagnostics, "rao_teh_step_many", spy)
+        curve = self._curve()
+        assert widths == [600] * 8 + [600] * 8 + [300] * 8
+        target = exact_posterior_marginals(
+            [1 / 3, 1 / 3, 1 / 3], Q3, Evidence([0.6], [[0.7, 0.2, 0.1]]),
+            [0.75], (0.0, 1.5),
+        )[0]
+        assert curve.tv[0] == pytest.approx(1.0 - target[0], abs=1e-12)
+        assert curve.tv[-1] < 0.06
 
     @pytest.mark.parametrize("ms, n_replicates, name", [
         ([1, 1, 2], 10, "ms"),
@@ -185,6 +191,18 @@ class TestEstimateTvDecay:
         with pytest.raises(ValueError, match=f"^{name} "):
             estimate_tv_decay([1 / 3, 1 / 3, 1 / 3], Q3, Evidence.empty(3), cfg, x0,
                               ms=ms, n_replicates=n_replicates, probe=0.75)
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda cfg: estimate_drift([0.5, 0.5], SYM2, Evidence.empty(2), cfg, (0.0, 1.0),
+                               ns=[10, 20], replicates=100, n_jobs=2),
+    lambda cfg: estimate_tv_decay([0.5, 0.5], SYM2, Evidence.empty(2), cfg,
+                                  seed_trajectory(SYM2, (0.0, 1.0), 0), ms=[0, 1],
+                                  n_replicates=10, probe=0.5, n_jobs=2),
+], ids=["drift", "tv"])
+def test_more_than_one_job_is_refused(estimate):
+    with pytest.raises(ValueError, match="^n_jobs "):
+        estimate(SamplerConfig(n_sweeps=1))
 
 
 class TestIntegratedAutocorrelationTime:

@@ -204,6 +204,11 @@ class TestEvidence:
         with pytest.raises(ValueError):
             Evidence([1.0], [[0.9, 0.1]], lik_max=[0.5])
 
+    @pytest.mark.parametrize("lik_max", [np.nan, np.inf])
+    def test_non_finite_lik_max_rejected(self, lik_max):
+        with pytest.raises(ValueError, match="finite"):
+            Evidence([1.0], [[0.9, 0.1]], lik_max=[lik_max])
+
     def test_empty(self):
         ev = Evidence.empty(3)
         assert ev.n_obs == 0
