@@ -10,10 +10,16 @@ untraced runs of the benchmark's ``run_seconds`` with sampler seeds
 ``first-seed, first-seed + 1, ...``, odd pairs running the parent first and
 even pairs the change first; then one ``TRACED_SECONDS`` run with
 ``--trace 1`` per side and workload. Each run's JSON result line
-is kept as printed. The output file has the fields of ``BENCH_7.json``, and a
-table of medians, quartiles and pair wins is printed to stdout. Runs whose
-checks failed are left out of that table and listed on stderr, and the script
-then exits 1, after writing the file.
+is kept as printed. The output file has the fields of ``BENCH_7.json`` plus a
+``summary``: per workload and metric, the medians, quartiles and pair wins of
+each side, and the change/parent ratio within each pair (median, quartiles
+and the pairs above 1). The same table is printed to stdout. Runs whose
+checks failed are left out of it and listed on stderr, and the script then
+exits 1, after writing the file.
+
+``--parent HEAD`` on a clean checkout is the A/A run: the same revision on
+both sides, so its pair ratios measure the bias between an exported tree and
+the checkout, and the noise of the host.
 """
 
 from __future__ import annotations
@@ -60,33 +66,55 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def spread(values) -> dict[str, float]:
+    """Median and quartiles of ``values``, by name."""
+    return dict(zip(("q1", "median", "q3"), quartiles(list(values))))
+
+
 def failed(result: dict) -> bool:
     """Whether a run's result line reports a failed check or failed operations."""
     return not result["correct"] or result["failed"] > 0
 
 
-def summary(runs: list[dict], metrics: dict[str, str]) -> str:
+def compare(runs: list[dict], metrics: dict[str, str]) -> list[dict]:
     """Per workload and metric: parent and change median [quartiles], the
-    ratio of medians and the pairs the change won (ties count for neither).
-    Failed runs are left out, and a pair with a failed run counts for neither."""
-    lines = []
+    pairs the change won (ties count for neither) and the change/parent ratio
+    within each pair, as median [quartiles] and the pairs above 1. Failed runs
+    are left out, and a pair with a failed run counts for neither side."""
+    rows = []
     for workload in dict.fromkeys(r["workload"] for r in runs):
         for name, better in metrics.items():
             sides = {side: {r["pair"]: r["result"]["metrics"][name]["value"] for r in runs
                             if r["workload"] == workload and r["side"] == side
                             and not failed(r["result"])}
                      for side in ("parent", "change")}
-            if min(len(sides["parent"]), len(sides["change"])) < 2:
-                continue  # quartiles need two runs a side
             pairs = sorted(sides["parent"].keys() & sides["change"].keys())
+            if len(pairs) < 2 or min(len(v) for v in sides.values()) < 2:
+                continue  # quartiles need two runs a side and two pairs
             sign = 1.0 if better == "higher" else -1.0
             wins = sum(sign * (sides["change"][p] - sides["parent"][p]) > 0 for p in pairs)
-            (pq1, pm, pq3), (cq1, cm, cq3) = (quartiles(list(sides[s].values()))
-                                              for s in ("parent", "change"))
-            lines.append(f"{workload:13s} {name:12s} {pm:10.4g} [{pq1:.4g}, {pq3:.4g}] -> "
-                         f"{cm:10.4g} [{cq1:.4g}, {cq3:.4g}]  x{cm / pm:.3f}  "
-                         f"{wins}/{len(pairs)} better; gap {abs(cm - pm):.4g}, "
-                         f"parent spread {pq3 - pq1:.4g}")
+            ratios = [sides["change"][p] / sides["parent"][p] for p in pairs]
+            rows.append({"workload": workload, "metric": name, "better": better,
+                         "parent": spread(sides["parent"].values()),
+                         "change": spread(sides["change"].values()),
+                         "pairs": len(pairs), "wins": wins,
+                         "ratio": {**spread(ratios),
+                                   "above_1": sum(r > 1.0 for r in ratios)}})
+    return rows
+
+
+def summary(runs: list[dict], metrics: dict[str, str]) -> str:
+    """The rows of :func:`compare`, one line each."""
+    lines = []
+    for row in compare(runs, metrics):
+        p, c, r = row["parent"], row["change"], row["ratio"]
+        lines.append(f"{row['workload']:13s} {row['metric']:12s} "
+                     f"{p['median']:10.4g} [{p['q1']:.4g}, {p['q3']:.4g}] -> "
+                     f"{c['median']:10.4g} [{c['q1']:.4g}, {c['q3']:.4g}]  "
+                     f"x{c['median'] / p['median']:.3f}  {row['wins']}/{row['pairs']} better; gap "
+                     f"{abs(c['median'] - p['median']):.4g}, parent spread "
+                     f"{p['q3'] - p['q1']:.4g}; pair ratio x{r['median']:.3f} "
+                     f"[{r['q1']:.3f}, {r['q3']:.3f}], {r['above_1']}/{row['pairs']} above 1")
     return "\n".join(lines)
 
 
@@ -144,6 +172,7 @@ def main(argv=None) -> int:
         "order": "odd pairs run the parent first, even pairs the change first",
         "runs": runs,
         "traced_runs": traced,
+        "summary": compare(runs, metrics),
     }
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
     bad = [r for r in runs + traced if failed(r["result"])]

@@ -11,7 +11,6 @@ from .errors import MJPError
 from .ffbs import build_kernel
 from .model import (
     Evidence,
-    Grid,
     RateMatrix,
     SamplerConfig,
     Trajectory,
@@ -27,7 +26,6 @@ __all__ = [
     "MJPError",
     "build_kernel",
     "Evidence",
-    "Grid",
     "RateMatrix",
     "SamplerConfig",
     "Trajectory",

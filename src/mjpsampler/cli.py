@@ -110,8 +110,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("--mode", choices=["drift", "tv", "trace"], required=True)
     p_diag.add_argument("--model")
     p_diag.add_argument("--evidence", default=None)
-    p_diag.add_argument("--t-min", type=float, default=0.0)
-    p_diag.add_argument("--t-max", type=float, default=1.0)
+    p_diag.add_argument("--t-min", type=float, default=None,
+                        help="drift and tv modes without --evidence: window start, default 0")
+    p_diag.add_argument("--t-max", type=float, default=None,
+                        help="drift and tv modes without --evidence: window end, default 1")
     p_diag.add_argument("--lambda-factor", type=float, default=2.0)
     p_diag.add_argument("--seed", type=int, default=None)
     p_diag.add_argument("--ns", type=_int_list, default=[50, 100, 200],
@@ -224,12 +226,17 @@ def cmd_diagnose(args) -> int:
         raise ValidationError("--model is required in drift and tv modes")
     nu, q = io.load_model(args.model)
     if args.evidence is not None:
+        if args.t_min is not None or args.t_max is not None:
+            raise ValidationError("--t-min and --t-max conflict with --evidence, "
+                                  "whose file sets the window")
         ev, window = io.load_evidence(args.evidence)
         if ev.n_states != q.n_states:
             raise ValidationError(
                 f"evidence has {ev.n_states} states, model has {q.n_states}", pointer="/obs"
             )
     else:
+        args.t_min = 0.0 if args.t_min is None else args.t_min
+        args.t_max = 1.0 if args.t_max is None else args.t_max
         ev, window = Evidence.empty(q.n_states), (args.t_min, args.t_max)
     cfg = SamplerConfig(
         n_sweeps=1,

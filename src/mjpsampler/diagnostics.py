@@ -133,7 +133,7 @@ def estimate_drift(nu, q: RateMatrix, ev: Evidence, cfg: SamplerConfig,
     means = np.empty(ns.size)
     ses = np.empty(ns.size)
     for i, x_seed in enumerate(starts):
-        counts = np.array([rao_teh_step(x_seed, nu, q, ev, cfg, rng, kernel=kernel)[0].n_jumps
+        counts = np.array([rao_teh_step(x_seed, nu, q, ev, kernel, rng)[0].n_jumps
                            for _ in range(replicates)])
         means[i] = counts.mean()
         ses[i] = counts.std(ddof=1) / np.sqrt(replicates)

@@ -19,19 +19,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ImpossibleEvidence, LambdaTooSmall, TooLarge
-from .model import Evidence, RateMatrix, UniformizedKernel
+from .model import Evidence, RateMatrix, UniformizedKernel, _trusted
 
 
 def build_kernel(q: RateMatrix, lam: float) -> UniformizedKernel:
     """Uniformized skeleton kernel: off-diagonal ``q/lam``, diagonal ``1 - leave/lam``.
 
     Requires ``lam > q_max`` strictly so every diagonal entry is positive.
+    ``q`` is validated and ``lam`` checked here, so the kernel is valid by
+    construction and skips the public constructor's checks.
     """
     if not lam > q.q_max:
         raise LambdaTooSmall(f"lambda={lam} must strictly exceed q_max={q.q_max}")
     p = q.q / lam
     np.fill_diagonal(p, 1.0 - q.leave / lam)
-    return UniformizedKernel(p=p, lam=float(lam))
+    return _trusted(UniformizedKernel, p=p, lam=float(lam))
 
 
 def attach_emissions(grid_times, ev: Evidence) -> tuple[np.ndarray, np.ndarray]:

@@ -41,17 +41,24 @@ def _require(doc: dict, key: str, pointer: str = ""):
     return doc[key]
 
 
+def _numeric(value, pointer: str, array: bool = False):
+    """``value`` as a float, or as a float array when ``array``; JSON that is
+    not numeric there (``null``, a string) raises :class:`ValidationError`
+    at ``pointer`` instead of a raw Python error."""
+    try:
+        return np.asarray(value, dtype=float) if array else float(value)
+    except (TypeError, ValueError) as e:
+        raise ValidationError(f"expected numbers, got {json.dumps(value)[:80]}",
+                              pointer=pointer) from e
+
+
 def load_model(path) -> tuple[np.ndarray, RateMatrix]:
     """Load and validate a model file; returns ``(nu, rate_matrix)``."""
     doc = _load_json(path)
     states = _require(doc, "states")
     if not isinstance(states, int) or states < 2:
         raise ValidationError("'states' must be an integer >= 2", pointer="/states")
-    q_raw = _require(doc, "Q")
-    try:
-        q_arr = np.asarray(q_raw, dtype=float)
-    except (TypeError, ValueError) as e:
-        raise ValidationError(f"'Q' must be a numeric matrix: {e}", pointer="/Q") from e
+    q_arr = _numeric(_require(doc, "Q"), "/Q", array=True)
     if q_arr.shape != (states, states):
         raise ValidationError(
             f"'Q' has shape {q_arr.shape}, expected ({states}, {states})", pointer="/Q"
@@ -76,7 +83,7 @@ def load_model(path) -> tuple[np.ndarray, RateMatrix]:
     if nu_raw is None:
         nu = np.full(states, 1.0 / states)
     else:
-        nu = np.asarray(nu_raw, dtype=float)
+        nu = _numeric(nu_raw, "/nu", array=True)
         if nu.shape != (states,):
             raise ValidationError(f"'nu' must have {states} entries", pointer="/nu")
         if not np.isfinite(nu).all() or (nu < 0).any() or abs(nu.sum() - 1.0) > 1e-9:
@@ -100,8 +107,8 @@ def save_model(path, q: RateMatrix, nu=None, labels=None) -> None:
 
 def load_trajectory(path) -> Trajectory:
     doc = _load_json(path)
-    t_min = _require(doc, "t_min")
-    t_max = _require(doc, "t_max")
+    t_min = _numeric(_require(doc, "t_min"), "/t_min")
+    t_max = _numeric(_require(doc, "t_max"), "/t_max")
     s0 = _require(doc, "s0")
     jumps = _require(doc, "jumps")
     if not isinstance(jumps, list):
@@ -111,7 +118,7 @@ def load_trajectory(path) -> Trajectory:
             raise ValidationError("expected a [t, s] pair", pointer=f"/jumps/{i}")
     try:
         return Trajectory.from_pairs(
-            float(t_min), float(t_max), int(s0),
+            t_min, t_max, int(s0),
             [(float(t), int(s)) for t, s in jumps],
         )
     except (TypeError, ValueError) as e:
@@ -133,8 +140,8 @@ def save_trajectory(path, x: Trajectory) -> None:
 def load_evidence(path) -> tuple[Evidence, tuple[float, float]]:
     """Load an evidence file; returns ``(evidence, (t_min, t_max))``."""
     doc = _load_json(path)
-    t_min = float(_require(doc, "t_min"))
-    t_max = float(_require(doc, "t_max"))
+    t_min = _numeric(_require(doc, "t_min"), "/t_min")
+    t_max = _numeric(_require(doc, "t_max"), "/t_max")
     if not t_min < t_max:
         raise ValidationError("need t_min < t_max", pointer="/t_max")
     obs = _require(doc, "obs")
@@ -146,11 +153,11 @@ def load_evidence(path) -> tuple[Evidence, tuple[float, float]]:
     for j, rec in enumerate(obs):
         if not isinstance(rec, dict):
             raise ValidationError("observation must be an object", pointer=f"/obs/{j}")
-        t = _require(rec, "t", pointer=f"/obs/{j}")
+        t = _numeric(_require(rec, "t", pointer=f"/obs/{j}"), f"/obs/{j}/t")
         lik = _require(rec, "lik", pointer=f"/obs/{j}")
         if not isinstance(lik, list) or not lik:
             raise ValidationError("'lik' must be a nonempty list", pointer=f"/obs/{j}/lik")
-        vals = np.asarray(lik, dtype=float)
+        vals = _numeric(lik, f"/obs/{j}/lik", array=True)
         if n_states is None:
             n_states = vals.size
         elif vals.size != n_states:
@@ -165,14 +172,14 @@ def load_evidence(path) -> tuple[Evidence, tuple[float, float]]:
             raise ValidationError(
                 "'lik' must have at least one positive entry", pointer=f"/obs/{j}/lik"
             )
-        if not t_min <= float(t) <= t_max:
+        if not t_min <= t <= t_max:
             raise ValidationError(
                 f"observation time {t} outside [{t_min}, {t_max}]", pointer=f"/obs/{j}/t"
             )
         if "lik_max" in rec:
-            records.append((float(t), vals, float(rec["lik_max"])))
+            records.append((t, vals, _numeric(rec["lik_max"], f"/obs/{j}/lik_max")))
         else:
-            records.append((float(t), vals))
+            records.append((t, vals))
     try:
         ev = Evidence.from_records(records, n_states=n_states or 0)
     except ValueError as e:
@@ -202,11 +209,7 @@ def save_evidence(path, ev: Evidence, window: tuple[float, float]) -> None:
 
 def load_emission(path) -> np.ndarray:
     doc = _load_json(path)
-    e_raw = _require(doc, "E")
-    try:
-        e = np.asarray(e_raw, dtype=float)
-    except (TypeError, ValueError) as err:
-        raise ValidationError(f"'E' must be a numeric matrix: {err}", pointer="/E") from err
+    e = _numeric(_require(doc, "E"), "/E", array=True)
     if e.ndim != 2:
         raise ValidationError("'E' must be a matrix", pointer="/E")
     return e

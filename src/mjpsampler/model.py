@@ -6,7 +6,7 @@ continuous and piecewise constant on a fixed window ``[t_min, t_max]``.
 A trajectory is stored minimally as the initial state plus the ordered
 true jumps ``(time, new state)``. The redundant uniformized representation
 (a grid of candidate jump times plus a state skeleton, where consecutive
-equal states mark virtual jumps) lives in :class:`Grid` and collapses back
+equal states mark virtual jumps) is a pair of arrays that collapses back
 to a :class:`Trajectory` via :func:`collapse_grid`.
 """
 
@@ -204,53 +204,19 @@ def trajectory_eval_many(x: Trajectory, ts) -> np.ndarray:
     return ext[np.searchsorted(x.jump_times, ts, side="right")]
 
 
-@dataclass(frozen=True)
-class Grid:
-    """Redundant uniformized representation: candidate times plus skeleton.
+def collapse_grid(t_min: float, t_max: float, times: np.ndarray,
+                  states: np.ndarray) -> Trajectory:
+    """Discard virtual jumps of a uniformized grid, keeping the state changes.
 
-    ``times`` are ``N`` candidate jump times strictly inside the window and
-    ``states`` the skeleton ``S_0, ..., S_N`` (``S_0`` holds from ``t_min``).
-    Indices where the state changes are the true jumps.
+    ``times`` are ``N`` candidate jump times, strictly increasing and strictly
+    inside the window; ``states`` is the ``int64`` skeleton ``S_0, ..., S_N``
+    of nonnegative states (``S_0`` holds from ``t_min``). The package builds
+    both arrays valid, so the result skips the public constructor's checks.
     """
-
-    t_min: float
-    t_max: float
-    times: np.ndarray
-    states: np.ndarray
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        states = np.asarray(self.states, dtype=np.int64)
-        object.__setattr__(self, "times", _freeze(times))
-        object.__setattr__(self, "states", _freeze(states))
-        if not self.t_min < self.t_max:
-            raise ValueError(f"need t_min < t_max, got [{self.t_min}, {self.t_max}]")
-        if states.shape != (times.size + 1,):
-            raise ValueError("states must have exactly one more entry than times")
-        if times.size:
-            if times[0] <= self.t_min or times[-1] >= self.t_max:
-                raise ValueError("grid times must lie strictly inside (t_min, t_max)")
-            if (np.diff(times) <= 0).any():
-                raise ValueError("grid times must be strictly increasing")
-        if (states < 0).any():
-            raise ValueError("states must be nonnegative indices")
-
-    @property
-    def true_jump_indices(self) -> np.ndarray:
-        """Indices ``i`` in ``1..N`` with ``S_{i-1} != S_i`` (1-based)."""
-        return np.nonzero(self.states[1:] != self.states[:-1])[0] + 1
-
-
-def collapse_grid(g: Grid) -> Trajectory:
-    """Discard virtual jumps, keeping exactly the state-change indices.
-
-    A valid grid collapses to a valid trajectory, so the result skips the
-    public constructor's checks.
-    """
-    changed = g.states[1:] != g.states[:-1]
+    changed = states[1:] != states[:-1]
     return _trusted(
-        Trajectory, t_min=g.t_min, t_max=g.t_max, s0=int(g.states[0]),
-        jump_times=g.times[changed], jump_states=g.states[1:][changed],
+        Trajectory, t_min=t_min, t_max=t_max, s0=int(states[0]),
+        jump_times=times[changed], jump_states=states[1:][changed],
     )
 
 

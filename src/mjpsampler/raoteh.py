@@ -22,12 +22,10 @@ from .ffbs import (GRID_CAP, _predecessors, attach_emissions, backward_sample, b
                    forward_filter)
 from .model import (
     Evidence,
-    Grid,
     RateMatrix,
     SamplerConfig,
     Trajectory,
     UniformizedKernel,
-    _trusted,
     as_distribution,
     collapse_grid,
     trajectory_log_likelihood,
@@ -75,27 +73,22 @@ def _merge_candidate_times(x: Trajectory, virtual: np.ndarray) -> np.ndarray:
 
 
 def rao_teh_step(x: Trajectory, nu, q: RateMatrix, ev: Evidence,
-                 cfg: SamplerConfig, rng: np.random.Generator,
-                 kernel: UniformizedKernel | None = None) -> tuple[Trajectory, float]:
+                 kernel: UniformizedKernel, rng: np.random.Generator) -> tuple[Trajectory, float]:
     """One Gibbs sweep; returns the new trajectory and ``log p(Y | T')``.
 
     ``log p(Y | T')`` is the evidence on the merged grid of this sweep.
-    ``kernel`` may be precomputed by the caller; it must match
-    ``lambda_factor * q_max``.
+    ``kernel`` is ``build_kernel(q, lam)``; the virtual draw reads ``lam``
+    from it, so both halves of the sweep run at one rate.
     """
-    lam = cfg.lambda_factor * q.q_max
-    if kernel is None:
-        kernel = build_kernel(q, lam)
     if ev.n_obs and (ev.times[0] < x.t_min or ev.times[-1] > x.t_max):
         raise TimeOutOfWindow("evidence times outside the trajectory window")
 
-    virtual = sample_virtual_jumps(x, q, lam, rng)
+    virtual = sample_virtual_jumps(x, q, kernel.lam, rng)
     times = _merge_candidate_times(x, virtual)
     factors = attach_emissions(times, ev)
     filt = forward_filter(kernel, nu, factors, times.size)
     skeleton = backward_sample(filt, kernel, rng)
-    grid = _trusted(Grid, t_min=x.t_min, t_max=x.t_max, times=times, states=skeleton)
-    return collapse_grid(grid), filt.log_norm
+    return collapse_grid(x.t_min, x.t_max, times, skeleton), filt.log_norm
 
 
 def pad_paths(xs: Sequence[Trajectory]) -> tuple[np.ndarray, np.ndarray]:
@@ -348,7 +341,6 @@ class ChainTrace:
     probe_states: np.ndarray
     burn_in: int
     n_states: int
-    trajectories: list[Trajectory] | None = None
 
     @property
     def n_sweeps_total(self) -> int:
@@ -368,8 +360,7 @@ class ChainTrace:
 
 def run_chain(nu, q: RateMatrix, ev: Evidence, window: tuple[float, float],
               cfg: SamplerConfig, rng: np.random.Generator | None = None,
-              probes=(), x0: Trajectory | None = None,
-              store_trajectories: bool = False) -> ChainTrace:
+              probes=(), x0: Trajectory | None = None) -> ChainTrace:
     """Run ``burn_in + n_sweeps`` Gibbs sweeps and record summary statistics.
 
     The RNG defaults to a fresh generator seeded from ``cfg.seed``, so a
@@ -384,25 +375,21 @@ def run_chain(nu, q: RateMatrix, ev: Evidence, window: tuple[float, float],
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
 
-    lam = cfg.lambda_factor * q.q_max
-    kernel = build_kernel(q, lam)
+    kernel = build_kernel(q, cfg.lambda_factor * q.q_max)
     x = x0 if x0 is not None else initial_trajectory(nu, q, ev, window, cfg, rng)
 
     total = cfg.burn_in + cfg.n_sweeps
     n_jumps = np.empty(total, dtype=np.int64)
     log_evidence = np.empty(total)
     probe_states = np.empty((total, probes.size), dtype=np.int64)
-    trajectories: list[Trajectory] | None = [] if store_trajectories else None
 
     for m in range(total):
-        x, log_ev = rao_teh_step(x, nu, q, ev, cfg, rng, kernel=kernel)
+        x, log_ev = rao_teh_step(x, nu, q, ev, kernel, rng)
         n_jumps[m] = x.n_jumps
         log_evidence[m] = log_ev
         if probes.size:
             ext = np.concatenate(([x.s0], x.jump_states))
             probe_states[m] = ext[np.searchsorted(x.jump_times, probes, side="right")]
-        if trajectories is not None:
-            trajectories.append(x)
 
     return ChainTrace(
         probes=probes,
@@ -411,5 +398,4 @@ def run_chain(nu, q: RateMatrix, ev: Evidence, window: tuple[float, float],
         probe_states=probe_states,
         burn_in=cfg.burn_in,
         n_states=q.n_states,
-        trajectories=trajectories,
     )

@@ -12,12 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LambdaTooSmall
 from .ffbs import build_kernel, categorical
 from .model import (
     ROW_SUM_TOL,
     Evidence,
-    Grid,
     RateMatrix,
     Trajectory,
     UniformizedKernel,
@@ -102,9 +100,11 @@ def sample_skeleton(nu, kernel: UniformizedKernel, n_steps: int,
 
 def uniformized_simulate(nu, q: RateMatrix, lam: float, window: tuple[float, float],
                          rng: np.random.Generator) -> Trajectory:
-    """Uniformized simulation: Poisson candidate times, skeleton chain, collapse."""
-    if not lam > q.q_max:
-        raise LambdaTooSmall(f"lambda={lam} must strictly exceed q_max={q.q_max}")
+    """Uniformized simulation: Poisson candidate times, skeleton chain, collapse.
+
+    Raises :class:`LambdaTooSmall` (from :func:`build_kernel`) unless
+    ``lam > q_max``.
+    """
     t_min, t_max = float(window[0]), float(window[1])
     if not t_min < t_max:
         raise ValueError("window must have positive length")
@@ -116,7 +116,7 @@ def uniformized_simulate(nu, q: RateMatrix, lam: float, window: tuple[float, flo
     times = np.unique(times)  # sorts; exact collisions are measure-zero
     times = times[(times > t_min) & (times < t_max)]
     states = sample_skeleton(nu, kernel, times.size, rng)
-    return collapse_grid(Grid(t_min, t_max, times, states))
+    return collapse_grid(t_min, t_max, times, states)
 
 
 def generate_observations(x: Trajectory, times, em: EmissionModel,

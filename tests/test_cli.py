@@ -188,6 +188,38 @@ class TestDiagnoseCommand:
         assert len(summary["tv_se"]) == 3 and summary["wall_s"] > 0
         assert summary["chain_sweeps_per_s"] == pytest.approx(50 * 2 / summary["wall_s"])
 
+    @pytest.mark.parametrize("mode", ["drift", "tv"])
+    @pytest.mark.parametrize("flags", [["--t-min", "3", "--t-max", "1"], ["--t-min", "0"],
+                                       ["--t-max", "3"]], ids=["both", "t-min", "t-max"])
+    def test_window_flags_conflict_with_evidence(self, tmp_path, model_file, evidence_file,
+                                                 mode, flags, capsys):
+        out = tmp_path / "out.csv"
+        rc = parse_and_dispatch([
+            "diagnose", "--mode", mode, "--model", model_file, "--evidence", evidence_file,
+            *flags, "--ns", "5,10", "--ms", "0,1", "--replicates", "100", "--out", str(out),
+        ])
+        assert rc == 1
+        assert "conflict with --evidence" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_window_defaults_without_evidence(self, tmp_path, model_file, capsys):
+        rc = parse_and_dispatch([
+            "diagnose", "--mode", "drift", "--model", model_file, "--ns", "5,10",
+            "--replicates", "100", "--out", str(tmp_path / "drift.csv"),
+        ])
+        assert rc == 0
+        config = json.loads(capsys.readouterr().out.splitlines()[0])
+        assert (config["t_min"], config["t_max"], config["window"]) == (0.0, 1.0, [0.0, 1.0])
+
+    def test_window_from_the_evidence_file(self, tmp_path, model_file, evidence_file, capsys):
+        rc = parse_and_dispatch([
+            "diagnose", "--mode", "tv", "--model", model_file, "--evidence", evidence_file,
+            "--ms", "0,1", "--replicates", "20", "--out", str(tmp_path / "tv.csv"),
+        ])
+        assert rc == 0
+        config = json.loads(capsys.readouterr().out.splitlines()[0])
+        assert (config["t_min"], config["t_max"], config["window"]) == (None, None, [0.0, 3.0])
+
     def test_drift_negative_ns_is_usage_error(self, tmp_path, model_file, capsys):
         out = tmp_path / "drift.csv"
         rc = parse_and_dispatch([
@@ -333,6 +365,49 @@ class TestValidationPointers:
         with pytest.raises(ValidationError) as exc:
             io.load_evidence(str(path))
         assert exc.value.pointer == "/obs"
+
+    @pytest.mark.parametrize("field, value, pointer", [
+        ("t_min", None, "/t_min"),
+        ("t_min", "x", "/t_min"),
+        ("t_max", None, "/t_max"),
+        ("t", None, "/obs/0/t"),
+        ("t", "x", "/obs/0/t"),
+        ("lik_max", None, "/obs/0/lik_max"),
+        ("lik_max", "x", "/obs/0/lik_max"),
+        ("lik", ["a", 0.5], "/obs/0/lik"),
+    ])
+    def test_non_numeric_evidence_field_pointer(self, tmp_path, field, value, pointer):
+        doc = {"t_min": 0.0, "t_max": 1.0,
+               "obs": [{"t": 0.5, "lik": [0.9, 0.1], "lik_max": 0.9}]}
+        (doc if field in doc else doc["obs"][0])[field] = value
+        path = tmp_path / "ev.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError) as exc:
+            io.load_evidence(str(path))
+        assert exc.value.pointer == pointer
+
+    @pytest.mark.parametrize("field, value, pointer", [
+        ("nu", ["a", 0.5], "/nu"),
+        ("nu", "x", "/nu"),
+        ("Q", [["a", 1.0], [1.0, -1.0]], "/Q"),
+    ])
+    def test_non_numeric_model_field_pointer(self, tmp_path, field, value, pointer):
+        doc = {"states": 2, "Q": [[-1.0, 1.0], [1.0, -1.0]], field: value}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError) as exc:
+            io.load_model(str(path))
+        assert exc.value.pointer == pointer
+
+    def test_cli_reports_a_non_numeric_field_with_its_pointer(self, tmp_path, model_file,
+                                                              capsys):
+        path = tmp_path / "ev.json"
+        path.write_text(json.dumps({"t_min": 0.0, "t_max": 1.0, "obs": [
+            {"t": 0.5, "lik": [0.9, 0.1, 0.1], "lik_max": None}]}))
+        rc = parse_and_dispatch(["sample", "--model", model_file, "--evidence", str(path),
+                                 "--sweeps", "5", "--out", str(tmp_path / "t.csv")])
+        assert rc == 1
+        assert "error: /obs/0/lik_max: expected numbers, got null" in capsys.readouterr().err
 
     def test_bad_json_is_parse_error(self, tmp_path):
         path = tmp_path / "junk.json"

@@ -12,9 +12,9 @@ from mjpsampler.errors import (
 from mjpsampler.ffbs import build_kernel
 from mjpsampler.model import (
     Evidence,
-    Grid,
     SamplerConfig,
     Trajectory,
+    UniformizedKernel,
     collapse_grid,
     trajectory_eval,
     trajectory_eval_many,
@@ -101,32 +101,22 @@ class TestTrajectory:
 
 class TestGridCollapse:
     def test_virtual_jump_dropped(self):
-        g = Grid(0.0, 3.0, np.array([1.0, 2.0]), np.array([0, 0, 1]))
-        x = collapse_grid(g)
+        x = collapse_grid(0.0, 3.0, np.array([1.0, 2.0]), np.array([0, 0, 1]))
         assert x.s0 == 0
         assert x.jumps == [(2.0, 1)]
 
     def test_all_virtual(self):
-        g = Grid(0.0, 3.0, np.array([1.0]), np.array([0, 0]))
-        x = collapse_grid(g)
+        x = collapse_grid(0.0, 3.0, np.array([1.0]), np.array([0, 0]))
         assert x.n_jumps == 0
 
     def test_mixed(self):
-        g = Grid(0.0, 4.0, np.array([1.0, 2.0, 3.0]), np.array([0, 1, 1, 0]))
-        x = collapse_grid(g)
+        x = collapse_grid(0.0, 4.0, np.array([1.0, 2.0, 3.0]), np.array([0, 1, 1, 0]))
         assert x.jumps == [(1.0, 1), (3.0, 0)]
-
-    def test_true_jump_indices(self):
-        g = Grid(0.0, 4.0, np.array([1.0, 2.0, 3.0]), np.array([0, 1, 1, 0]))
-        assert g.true_jump_indices.tolist() == [1, 3]
-
-    def test_negative_state_rejected(self):
-        with pytest.raises(ValueError):
-            Grid(0.0, 3.0, np.array([1.0, 2.0]), np.array([0, -1, 1]))
 
 
 @st.composite
 def grids(draw):
+    """``(times, states)`` of a valid grid on [0, 1]."""
     n = draw(st.integers(min_value=0, max_value=8))
     times = draw(
         st.lists(
@@ -135,22 +125,22 @@ def grids(draw):
         )
     )
     states = draw(st.lists(st.integers(0, 3), min_size=n + 1, max_size=n + 1))
-    return Grid(0.0, 1.0, np.sort(np.array(times)), np.array(states))
+    return np.sort(np.array(times, dtype=float)), np.array(states, dtype=np.int64)
 
 
 @given(grids())
 @settings(max_examples=200)
-def test_collapse_preserves_path(g):
-    x = collapse_grid(g)
+def test_collapse_preserves_path(grid):
+    times, states = grid
+    x = collapse_grid(0.0, 1.0, times, states)
     ts = np.random.default_rng(0).uniform(0.0, 1.0, size=1000)
     # independent grid evaluation: state after the last grid time <= t
-    expected = g.states[np.searchsorted(g.times, ts, side="right")]
+    expected = states[np.searchsorted(times, ts, side="right")]
     assert (trajectory_eval_many(x, ts) == expected).all()
-    assert x.n_jumps <= g.times.size
+    assert x.n_jumps <= times.size
     # the unchecked result equals what the validating constructor builds
-    changed = g.states[1:] != g.states[:-1]
-    checked = Trajectory(g.t_min, g.t_max, int(g.states[0]),
-                         g.times[changed], g.states[1:][changed])
+    changed = states[1:] != states[:-1]
+    checked = Trajectory(0.0, 1.0, int(states[0]), times[changed], states[1:][changed])
     assert (x.t_min, x.t_max, x.s0) == (checked.t_min, checked.t_max, checked.s0)
     assert x.jump_times.tolist() == checked.jump_times.tolist()
     assert x.jump_states.tolist() == checked.jump_states.tolist()
@@ -180,6 +170,12 @@ def test_kernel_diagonal_lower_bound(q, factor):
     kernel = build_kernel(q, lam)
     assert (np.diag(kernel.p) >= 1.0 - q.q_max / lam - 1e-12).all()
     assert np.allclose(kernel.p.sum(axis=1), 1.0, atol=1e-12)
+    # built without the public constructor's checks, yet it passes every one,
+    # also at the smallest rate above q_max
+    for k in (kernel, build_kernel(q, np.nextafter(q.q_max, np.inf))):
+        checked = UniformizedKernel(p=k.p, lam=k.lam)
+        assert (checked.p == k.p).all() and checked.lam == k.lam
+        assert not k.p.flags.writeable
 
 
 class TestEvidence:

@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from mjpsampler import raoteh
 from mjpsampler.diagnostics import seed_trajectory
 from mjpsampler.errors import InitFailed, LambdaTooSmall, TooLarge
 from mjpsampler.ffbs import GRID_CAP, build_kernel
 from mjpsampler.model import (
     Evidence,
-    Grid,
     SamplerConfig,
     Trajectory,
+    UniformizedKernel,
     trajectory_eval,
     trajectory_log_likelihood,
     validate_rate_matrix,
@@ -100,8 +101,9 @@ class TestRaoTehStep:
         cfg = SamplerConfig(n_sweeps=1, seed=3, init_strategy="max-likelihood-path")
         rng = np.random.default_rng(3)
         x = initial_trajectory([0.5, 0.5], SYM2, ev, (0.0, 1.0), cfg, rng)
+        kernel = build_kernel(SYM2, 2.0 * SYM2.q_max)
         for _ in range(200):
-            x, _ = rao_teh_step(x, [0.5, 0.5], SYM2, ev, cfg, rng)
+            x, _ = rao_teh_step(x, [0.5, 0.5], SYM2, ev, kernel, rng)
             assert trajectory_eval(x, 0.3) == 1
             assert trajectory_eval(x, 0.7) == 0
 
@@ -110,16 +112,30 @@ class TestRaoTehStep:
         times = np.arange(1, 201) / 201.0
         states = np.array([(i % 2) for i in range(1, 201)], dtype=np.int64)
         x = Trajectory(0.0, 1.0, 0, times, states)
-        cfg = SamplerConfig(n_sweeps=1, seed=4)
+        kernel = build_kernel(SYM2, 2.0 * SYM2.q_max)
         rng = np.random.default_rng(4)
         new_counts = [
-            rao_teh_step(x, [0.5, 0.5], SYM2, Evidence.empty(2), cfg, rng)[0].n_jumps
+            rao_teh_step(x, [0.5, 0.5], SYM2, Evidence.empty(2), kernel, rng)[0].n_jumps
             for _ in range(300)
         ]
         mean = np.mean(new_counts)
         # uniform kernel flips half of E|T'| = 201 candidates
         assert mean == pytest.approx(100.5, abs=2.0)
         assert mean < 200
+
+    def test_virtual_draw_runs_at_the_kernels_rate(self, monkeypatch):
+        # lambda comes from the kernel alone, so both halves of a sweep share it
+        seen = []
+
+        def recorded(x, q, lam, rng):
+            seen.append(lam)
+            return sample_virtual_jumps(x, q, lam, rng)
+
+        monkeypatch.setattr(raoteh, "sample_virtual_jumps", recorded)
+        x = Trajectory.from_pairs(0.0, 1.0, 0, [(0.4, 1)])
+        kernel = build_kernel(SYM2, 3.7)
+        rao_teh_step(x, [0.5, 0.5], SYM2, Evidence.empty(2), kernel, np.random.default_rng(0))
+        assert seen == [3.7]
 
 
 class TestInitialTrajectory:
@@ -199,29 +215,26 @@ class TestRunChain:
         kept = trace.probe_states[trace.kept()]
         assert kept.shape[0] == 40
 
-    def test_store_trajectories(self):
-        ev = Evidence([0.8], [[0.9, 0.1]])
-        cfg = SamplerConfig(n_sweeps=5, seed=2)
-        trace = run_chain([0.5, 0.5], SYM2, ev, (0.0, 1.5), cfg,
-                          store_trajectories=True)
-        assert trace.trajectories is not None and len(trace.trajectories) == 5
-        assert all(x.n_jumps == n for x, n in zip(trace.trajectories, trace.n_jumps))
-
     def test_sweeps_skip_checks_but_emit_valid_trajectories(self, monkeypatch):
         ev = Evidence([0.5, 1.0, 1.5],
                       [[0.0, 1.0, 0.2], [1.0, 0.0, 0.0], [0.3, 0.3, 0.0]])
         nu = [1 / 3, 1 / 3, 1 / 3]
-        cfg = SamplerConfig(n_sweeps=200, seed=8, init_strategy="max-likelihood-path")
-        x0 = initial_trajectory(nu, Q3, ev, (0.0, 2.0), cfg, np.random.default_rng(8))
-        calls = {Grid: 0, Trajectory: 0}
+        cfg = SamplerConfig(n_sweeps=1, init_strategy="max-likelihood-path")
+        rng = np.random.default_rng(8)
+        x = initial_trajectory(nu, Q3, ev, (0.0, 2.0), cfg, rng)
+        calls = {UniformizedKernel: 0, Trajectory: 0}
         for cls in calls:
             def counted(self, _check=cls.__post_init__, _cls=cls):
                 calls[_cls] += 1
                 _check(self)
             monkeypatch.setattr(cls, "__post_init__", counted)
-        trace = run_chain(nu, Q3, ev, (0.0, 2.0), cfg, x0=x0, store_trajectories=True)
-        assert calls == {Grid: 0, Trajectory: 0}
-        for x in trace.trajectories:
+        kernel = build_kernel(Q3, 2.0 * Q3.q_max)
+        trajectories = []
+        for _ in range(200):
+            x, _ = rao_teh_step(x, nu, Q3, ev, kernel, rng)
+            trajectories.append(x)
+        assert calls == {UniformizedKernel: 0, Trajectory: 0}
+        for x in trajectories:
             Trajectory(x.t_min, x.t_max, x.s0, x.jump_times, x.jump_states)
             assert not x.jump_times.flags.writeable
             assert not x.jump_states.flags.writeable
@@ -309,7 +322,7 @@ class TestLockstepSweep:
             rng_b = np.random.default_rng([sweep, q.n_states])
             ev = self._evidence(kind, q, x, rng_a, sweep)
             hits += ev.n_obs and bool(np.isin(ev.times, x.jump_times).any())
-            y, _ = rao_teh_step(x, nu, q, ev, cfg, rng_a, kernel=kernel)
+            y, _ = rao_teh_step(x, nu, q, ev, kernel, rng_a)
             times, states = rao_teh_step_many(*pad_paths([x]), self.WINDOW, nu, q, ev,
                                               kernel, rng_b)
             [(s0, jump_times, jump_states)] = _unpad(times, states, self.WINDOW[1])

@@ -80,6 +80,18 @@ def test_uniformized_requires_lambda_above_qmax():
         uniformized_simulate([0.5, 0.5], q, 1.0, (0.0, 1.0), np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("window", [(0.0, 0.05), (0.0, 1.5), (2.0, 60.0)])
+def test_uniformized_draws_pass_the_trajectory_checks(window):
+    # the simulator builds its output without the public constructor's checks
+    q = validate_rate_matrix(Q3)
+    rng = np.random.default_rng(3)
+    for _ in range(1000):
+        x = uniformized_simulate([0.2, 0.5, 0.3], q, 2.0 * q.q_max, window, rng)
+        checked = Trajectory(x.t_min, x.t_max, x.s0, x.jump_times, x.jump_states)
+        assert checked.jumps == x.jumps and (x.t_min, x.t_max) == window
+        assert not x.jump_times.flags.writeable and not x.jump_states.flags.writeable
+
+
 def test_kernel_limit_every_candidate_is_a_transition():
     # lambda barely above q_max: diagonal mass vanishes, off-diagonals -> q/q_max
     q = validate_rate_matrix(SYM2)
